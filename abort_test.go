@@ -95,7 +95,7 @@ func TestLockCtxCancelAfterAcquire(t *testing.T) {
 		t.Fatal("TryLockFor succeeded while the lock was held")
 	}
 	m.Unlock(0)
-	// ...and must not leave a stale abort flag that kills pid 0's next
+	// ...and must not leave a stale cancellation poll that kills pid 0's next
 	// plain (non-abortable) acquisition.
 	m.Lock(0)
 	m.Unlock(0)
@@ -436,4 +436,35 @@ func TestAbortCrashRecoverStress(t *testing.T) {
 	}
 	t.Logf("attempts=%d passages=%d aborted=%d crashed=%d crashes=%d",
 		s.Attempts, s.Passages, s.Aborted, s.CrashedAttempts, s.Crashes)
+}
+
+// TestPassageZeroAllocs pins the passage driver at zero heap allocations
+// per call — including an abortable passage under a context that never
+// fires, whose cancellation poll reads ctx.Done() on the acquiring
+// goroutine.
+func TestPassageZeroAllocs(t *testing.T) {
+	m, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma, err := NewMap(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cs := context.Background(), func() {}
+	ma.Passage(0, "live", cs) // instantiate the key up front
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Mutex.Passage", func() { m.Passage(0, cs) }},
+		{"Mutex.Lock+Unlock", func() { m.Lock(0); m.Unlock(0) }},
+		{"Mutex.PassageCtx", func() { m.PassageCtx(ctx, 0, cs) }},
+		{"Map.Passage", func() { ma.Passage(0, "live", cs) }},
+		{"Map.PassageCtx", func() { ma.PassageCtx(ctx, 0, "live", cs) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, got)
+		}
+	}
 }

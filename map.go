@@ -44,6 +44,7 @@ import (
 // but crashing inside a critical section requires recovering the same
 // key first (bounded critical-section re-entry is per key).
 type Map struct {
+	eng       engine
 	n         int
 	cfg       config
 	spec      core.LockSpec
@@ -52,20 +53,6 @@ type Map struct {
 	segSlots  int
 	shards    []*mapShard
 	mask      uint32
-	fr        *flight.Recorder // nil unless WithTracing
-	fail      memory.FailFunc
-	aborts    []abortFlag
-	cur       []curEntry
-}
-
-// curEntry is one process's current engagement, written only by the
-// goroutine acting as that process. Padded so neighbouring processes'
-// engagements never share a cache line.
-type curEntry struct {
-	e    *mapEntry
-	p    memory.Port
-	inCS bool
-	_    [39]byte // pad to one cache line
 }
 
 // mapShard owns one slice of the key space: its key table, its arena
@@ -111,7 +98,7 @@ type mapEntry struct {
 	slot  subSlot
 	lock  *core.BALock
 
-	refs     int    // processes engaged (cur[pid].e == this)
+	refs     int    // processes engaged (procs[pid].e == this)
 	pending  []bool // pending[pid]: crashed claim abandoned by pid
 	npending int
 	stamp    uint64 // last-use clock, for LRU eviction
@@ -169,6 +156,7 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	spec.Build(szr, n)
 
 	ma := &Map{
+		eng:       newEngine(n, &cfg),
 		n:         n,
 		cfg:       cfg,
 		spec:      spec,
@@ -177,24 +165,8 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 		segSlots:  cfg.segSlots,
 		shards:    make([]*mapShard, shards),
 		mask:      uint32(shards - 1),
-		aborts:    make([]abortFlag, n),
-		cur:       make([]curEntry, n),
 	}
-	if cfg.fail != nil || cfg.labelFail != nil {
-		plain, labeled := cfg.fail, cfg.labelFail
-		ma.fail = func(pid int, op memory.OpInfo) bool {
-			if plain != nil && plain(pid) {
-				return true
-			}
-			return labeled != nil && labeled(pid, op.Label)
-		}
-	}
-	if cfg.tracing {
-		ma.fr = flight.NewRecorder(n, cfg.tracingOpts.RingSize)
-		if cfg.tracingOpts.Disabled {
-			ma.fr.SetEnabled(false)
-		}
-	}
+	ma.eng.keys = ma
 	for i := range ma.shards {
 		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*mapEntry)}
 	}
@@ -231,25 +203,11 @@ func (ma *Map) newSegment() *mapSegment {
 }
 
 // ensurePort lazily creates process pid's port onto the segment, wired
-// exactly like a Mutex port: failure injection, the abort-flag poll,
-// label observation for the flight recorder, and the counting wrapper
-// when metrics are on. Called under the owning shard's mu, from the
-// goroutine acting as pid.
+// exactly like a Mutex port. Called under the owning shard's mu, from
+// the goroutine acting as pid.
 func (sg *mapSegment) ensurePort(ma *Map, pid int) {
-	if sg.ports[pid] != nil {
-		return
-	}
-	np := sg.arena.Port(pid, ma.fail)
-	flag := &ma.aborts[pid].v
-	np.SetAbortHook(func(int) bool { return flag.Load() })
-	if ma.fr != nil {
-		pid, fr := pid, ma.fr
-		np.SetLabelHook(func(l string) { fr.ObserveLabel(pid, l) })
-	}
-	if sg.rec != nil {
-		sg.ports[pid] = sg.rec.Port(np)
-	} else {
-		sg.ports[pid] = np
+	if sg.ports[pid] == nil {
+		sg.ports[pid] = ma.eng.port(sg.arena, pid, sg.rec)
 	}
 }
 
@@ -323,11 +281,7 @@ func (sh *mapShard) acquire(pid int, key string) *mapEntry {
 			lock:    sh.m.spec.Build(slot.sub, sh.m.n),
 			pending: make([]bool, sh.m.n),
 		}
-		if fr := sh.m.fr; fr != nil {
-			e.lock.SetPhaseHook(func(pid int, ph core.PhaseKind, level int) {
-				fr.Phase(pid, flightPhaseKind(ph), level)
-			})
-		}
+		sh.m.eng.watch(e.lock)
 		sh.entries[key] = e
 		sh.instantiated++
 	}
@@ -342,23 +296,19 @@ func (sh *mapShard) acquire(pid int, key string) *mapEntry {
 	return e
 }
 
-// begin resolves pid's engagement for a passage on key: a recovery
-// continues the existing engagement; a crashed claim on a different key
-// is parked as pending (pinning that key's region) before the new key
-// is engaged.
-func (ma *Map) begin(pid int, key string) *mapEntry {
-	if pid < 0 || pid >= ma.n {
-		panic(fmt.Sprintf("rme: pid %d out of range [0,%d)", pid, ma.n))
-	}
-	c := &ma.cur[pid]
-	if c.e != nil {
-		if c.e.key == key {
-			return c.e
+// begin binds pid's passage state to key's lock: a recovery continues
+// the existing engagement; a crashed claim on a different key is parked
+// as pending (pinning that key's region) before the new key is engaged.
+func (ma *Map) begin(pid int, key string) {
+	s := &ma.eng.procs[pid]
+	if s.e != nil {
+		if s.e.key == key {
+			return
 		}
-		if c.inCS {
-			panic(fmt.Sprintf("rme: process %d holds key %q; nested Map passages are not supported", pid, c.e.key))
+		if s.inCS {
+			panic(fmt.Sprintf("rme: process %d holds key %q; nested Map passages are not supported", pid, s.e.key))
 		}
-		old := c.e
+		old := s.e
 		sh := old.shard
 		sh.mu.Lock()
 		if !old.pending[pid] {
@@ -367,67 +317,38 @@ func (ma *Map) begin(pid int, key string) *mapEntry {
 		}
 		old.refs--
 		sh.mu.Unlock()
-		c.e, c.p = nil, nil
+		s.e = nil
 	}
 	e := ma.shardOf(key).acquire(pid, key)
-	c.e = e
-	c.p = e.slot.seg.ports[pid]
-	return e
+	s.e, s.lock, s.port, s.rec = e, e.lock, e.slot.seg.ports[pid], e.slot.seg.rec
 }
 
 // finish releases pid's engagement after a clean passage end or a
 // completed back-out.
-func (ma *Map) finish(pid int, e *mapEntry) {
-	sh := e.shard
+func (ma *Map) finish(pid int) {
+	s := &ma.eng.procs[pid]
+	sh := s.e.shard
 	sh.mu.Lock()
-	e.refs--
+	s.e.refs--
 	sh.mu.Unlock()
-	c := &ma.cur[pid]
-	c.e, c.p, c.inCS = nil, nil, false
+	*s = proc{}
 }
 
 // Lock acquires key's lock as process pid, instantiating the key if
 // needed. Like Mutex.Lock it is the correct call both for first
 // acquisition and for recovery after a failure on the same key.
-func (ma *Map) Lock(pid int, key string) {
-	e := ma.begin(pid, key)
-	c := &ma.cur[pid]
-	if rec := e.slot.seg.rec; rec != nil {
-		rec.PassageStart(pid)
-	}
-	if ma.fr != nil {
-		ma.fr.PassageBegin(pid)
-	}
-	e.lock.Recover(c.p)
-	e.lock.Enter(c.p)
-	c.inCS = true
-	if ma.fr != nil {
-		ma.fr.CSEnter(pid)
-	}
-}
+func (ma *Map) Lock(pid int, key string) { ma.eng.lock(context.Background(), pid, key) }
 
 // Unlock releases key's lock as process pid.
 func (ma *Map) Unlock(pid int, key string) {
-	c := &ma.cur[pid]
-	if c.e == nil || c.e.key != key {
+	if s := ma.eng.proc(pid); s.e == nil || s.e.key != key {
 		held := "nothing"
-		if c.e != nil {
-			held = fmt.Sprintf("%q", c.e.key)
+		if s.e != nil {
+			held = fmt.Sprintf("%q", s.e.key)
 		}
 		panic(fmt.Sprintf("rme: process %d unlocking key %q but holds %s", pid, key, held))
 	}
-	e := c.e
-	if ma.fr != nil {
-		ma.fr.CSExit(pid)
-	}
-	e.lock.Exit(c.p)
-	if rec := e.slot.seg.rec; rec != nil {
-		rec.PassageEnd(pid)
-	}
-	if ma.fr != nil {
-		ma.fr.PassageEnd(pid)
-	}
-	ma.finish(pid, e)
+	ma.eng.unlock(pid)
 }
 
 // Passage runs one passage on key: Recover, Enter, cs, Exit. It reports
@@ -435,29 +356,8 @@ func (ma *Map) Unlock(pid int, key string) {
 // the caller should retry with the same key (the crashed claim keeps
 // the key pinned until recovered).
 func (ma *Map) Passage(pid int, key string, cs func()) (ok bool) {
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if c := &ma.cur[pid]; c.e != nil {
-				if rec := c.e.slot.seg.rec; rec != nil {
-					rec.Crash(pid)
-				}
-			}
-			if ma.fr != nil {
-				ma.fr.Crash(pid)
-			}
-			ok = false
-			return
-		}
-		panic(e)
-	}()
-	ma.Lock(pid, key)
-	cs()
-	ma.Unlock(pid, key)
-	return true
+	ok, _ = ma.eng.passage(context.Background(), pid, key, cs)
+	return ok
 }
 
 // LockCtx acquires key's lock as process pid, giving up when ctx is
@@ -466,64 +366,7 @@ func (ma *Map) Passage(pid int, key string, cs func()) (ok bool) {
 // post-acquisition check — closes as one aborted attempt, never as a
 // passage, and the process then holds nothing on the key.
 func (ma *Map) LockCtx(ctx context.Context, pid int, key string) error {
-	if err := ctx.Err(); err != nil {
-		e := ma.begin(pid, key)
-		if rec := e.slot.seg.rec; rec != nil {
-			rec.PassageStart(pid)
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.PassageBegin(pid)
-			ma.fr.Abort(pid)
-		}
-		ma.finish(pid, e)
-		return err
-	}
-	e := ma.begin(pid, key)
-	c := &ma.cur[pid]
-	rec := e.slot.seg.rec
-
-	w := watchCtx(ctx, &ma.aborts[pid].v)
-	defer w.Stop()
-
-	if rec != nil {
-		rec.PassageStart(pid)
-	}
-	if ma.fr != nil {
-		ma.fr.PassageBegin(pid)
-	}
-	if enterAborted(e.lock, c.p, pid) {
-		w.Stop()
-		e.lock.Abort(c.p)
-		if rec != nil {
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.Abort(pid)
-		}
-		ma.finish(pid, e)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return context.Canceled
-	}
-	if err := ctx.Err(); err != nil {
-		w.Stop()
-		e.lock.Exit(c.p)
-		if rec != nil {
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.Abort(pid)
-		}
-		ma.finish(pid, e)
-		return err
-	}
-	c.inCS = true
-	if ma.fr != nil {
-		ma.fr.CSEnter(pid)
-	}
-	return nil
+	return ma.eng.lock(ctx, pid, key)
 }
 
 // TryLockFor acquires key's lock as process pid, giving up after d; a
@@ -539,31 +382,7 @@ func (ma *Map) TryLockFor(pid int, key string, d time.Duration) bool {
 // Mutex.PassageCtx (ok=false with nil error on an injected crash,
 // (false, ctx.Err()) on cancellation).
 func (ma *Map) PassageCtx(ctx context.Context, pid int, key string, cs func()) (ok bool, err error) {
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if c := &ma.cur[pid]; c.e != nil {
-				if rec := c.e.slot.seg.rec; rec != nil {
-					rec.Crash(pid)
-				}
-			}
-			if ma.fr != nil {
-				ma.fr.Crash(pid)
-			}
-			ok, err = false, nil
-			return
-		}
-		panic(e)
-	}()
-	if err := ma.LockCtx(ctx, pid, key); err != nil {
-		return false, err
-	}
-	cs()
-	ma.Unlock(pid, key)
-	return true, nil
+	return ma.eng.passage(ctx, pid, key, cs)
 }
 
 // EvictIdle evicts up to max idle keys map-wide (all of them when max
@@ -575,19 +394,11 @@ func (ma *Map) EvictIdle(max int) int {
 	for _, sh := range ma.shards {
 		sh.mu.Lock()
 		for max <= 0 || evicted < max {
-			var victim *mapEntry
-			for _, e := range sh.entries {
-				if e.refs == 0 && e.npending == 0 && (victim == nil || e.stamp < victim.stamp) {
-					victim = e
-				}
-			}
-			if victim == nil {
+			s, ok := sh.evictLocked()
+			if !ok {
 				break
 			}
-			delete(sh.entries, victim.key)
-			sh.evictions++
-			sh.recycle(victim.slot)
-			sh.free = append(sh.free, victim.slot)
+			sh.free = append(sh.free, s)
 			evicted++
 		}
 		sh.mu.Unlock()
@@ -719,30 +530,16 @@ func (ma *Map) ShardMetricsSnapshots() ([]metrics.Snapshot, bool) {
 
 // SetTracing starts or stops flight recording at runtime (no-op without
 // WithTracing).
-func (ma *Map) SetTracing(on bool) {
-	if ma.fr != nil {
-		ma.fr.SetEnabled(on)
-	}
-}
+func (ma *Map) SetTracing(on bool) { ma.eng.setTracing(on) }
 
 // TracingEnabled reports whether flight recording is currently active.
-func (ma *Map) TracingEnabled() bool { return ma.fr != nil && ma.fr.Enabled() }
+func (ma *Map) TracingEnabled() bool { return ma.eng.tracingEnabled() }
 
 // FlightRecording snapshots the Map's flight recorder (events from
 // passages on every key interleave per process). The second result is
 // false without WithTracing.
-func (ma *Map) FlightRecording() (*flight.Recording, bool) {
-	if ma.fr == nil {
-		return nil, false
-	}
-	return ma.fr.Snapshot(), true
-}
+func (ma *Map) FlightRecording() (*flight.Recording, bool) { return ma.eng.flightRecording() }
 
 // FlightProfile returns the Map-wide phase-latency profile. The second
 // result is false without WithTracing.
-func (ma *Map) FlightProfile() (flight.Profile, bool) {
-	if ma.fr == nil {
-		return flight.Profile{}, false
-	}
-	return ma.fr.Profile(), true
-}
+func (ma *Map) FlightProfile() (flight.Profile, bool) { return ma.eng.flightProfile() }

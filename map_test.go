@@ -3,11 +3,14 @@ package rme
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rme/internal/flight"
 )
 
 func TestNewMapValidation(t *testing.T) {
@@ -485,4 +488,89 @@ func TestMapAbortable(t *testing.T) {
 		t.Fatalf("PassageCtx = (%v, %v, ran=%v)", ok, err, ran)
 	}
 	ma.Unlock(0, "k")
+}
+
+// TestMapMutexParity drives a Mutex and a one-key Map through the same
+// script — failure-free passages, a pre-cancelled and a late-cancelled
+// LockCtx, a crash inside the critical section, then recovery — and
+// requires identical metrics and identical per-process flight event
+// kinds: both front ends run one passage engine, so a key's passages
+// must be accounted exactly like a standalone mutex's.
+func TestMapMutexParity(t *testing.T) {
+	opts := []Option{WithMetrics(), WithTracing(TracingOptions{})}
+	m, err := New(2, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma, err := NewMap(2, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type frontEnd struct {
+		passage func(pid int, cs func()) bool
+		lockCtx func(ctx context.Context, pid int) error
+	}
+	run := func(name string, f frontEnd) {
+		for i := 0; i < 50; i++ {
+			if !f.passage(i%2, func() {}) {
+				t.Fatalf("%s: passage %d failed without injection", name, i)
+			}
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := f.lockCtx(cancelled, 0); err != context.Canceled {
+			t.Fatalf("%s: pre-cancelled LockCtx = %v, want context.Canceled", name, err)
+		}
+		if err := f.lockCtx(&lateCancelCtx{}, 1); err != context.Canceled {
+			t.Fatalf("%s: late-cancelled LockCtx = %v, want context.Canceled", name, err)
+		}
+		if f.passage(0, func() { Crash(0) }) {
+			t.Fatalf("%s: passage survived a crash inside the critical section", name)
+		}
+		if !f.passage(0, func() {}) {
+			t.Fatalf("%s: recovery passage failed", name)
+		}
+	}
+	run("Mutex", frontEnd{m.Passage, m.LockCtx})
+	run("Map", frontEnd{
+		passage: func(pid int, cs func()) bool { return ma.Passage(pid, "k", cs) },
+		lockCtx: func(ctx context.Context, pid int) error { return ma.LockCtx(ctx, pid, "k") },
+	})
+
+	ms, _ := m.MetricsSnapshot()
+	mas, _ := ma.MetricsSnapshot()
+	if ms.Passages != 51 || ms.Aborted != 2 || ms.CrashedAttempts != 1 {
+		t.Fatalf("Mutex passages/aborted/crashed = %d/%d/%d, want 51/2/1",
+			ms.Passages, ms.Aborted, ms.CrashedAttempts)
+	}
+	if ms.Passages != mas.Passages || ms.Aborted != mas.Aborted ||
+		ms.CrashedAttempts != mas.CrashedAttempts || ms.RMRs != mas.RMRs {
+		t.Fatalf("passages/aborted/crashed/RMRs: Mutex %d/%d/%d/%d, Map %d/%d/%d/%d",
+			ms.Passages, ms.Aborted, ms.CrashedAttempts, ms.RMRs,
+			mas.Passages, mas.Aborted, mas.CrashedAttempts, mas.RMRs)
+	}
+	t.Logf("passages=%d aborted=%d crashed=%d rmrs=%d", ms.Passages, ms.Aborted, ms.CrashedAttempts, ms.RMRs)
+	if !reflect.DeepEqual(ms.RMRHist, mas.RMRHist) {
+		t.Fatalf("RMR histograms differ:\nMutex %+v\nMap   %+v", ms.RMRHist, mas.RMRHist)
+	}
+
+	mr, _ := m.FlightRecording()
+	mar, _ := ma.FlightRecording()
+	for pid := range mr.Procs {
+		want, got := flightKinds(mr.Procs[pid]), flightKinds(mar.Procs[pid])
+		if len(want) == 0 {
+			t.Fatalf("pid %d: empty Mutex flight recording", pid)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("pid %d flight kinds differ:\nMutex %v\nMap   %v", pid, want, got)
+		}
+	}
+}
+
+func flightKinds(events []flight.Event) []string {
+	out := make([]string, len(events))
+	for i, ev := range events {
+		out[i] = ev.Kind.String()
+	}
+	return out
 }

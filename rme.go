@@ -24,7 +24,6 @@ package rme
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"rme/internal/arbtree"
@@ -216,25 +215,11 @@ func WithTracing(opts TracingOptions) Option {
 // application-level failure) recovers by calling Lock — or Passage —
 // again with the same identifier.
 type Mutex struct {
-	n      int
-	cfg    config
-	arena  *memory.NativeArena
-	lock   core.RecoverableLock
-	ports  []memory.Port
-	rec    *metrics.Recorder // nil unless WithMetrics
-	fr     *flight.Recorder  // nil unless WithTracing
-	aborts []abortFlag       // per-process cancellation flags (LockCtx)
-}
-
-// abortFlag is one process's cancellation flag, padded so neighbouring
-// processes' flags never share a cache line. The flag lives outside the
-// arena on purpose: it is private, ephemeral state — a crash is supposed
-// to lose it — and polling it from the spin-loop Pause hook costs no
-// shared-memory instruction, so the failure-free passage's RMR count is
-// untouched.
-type abortFlag struct {
-	v atomic.Bool
-	_ [56]byte
+	eng   engine
+	n     int
+	cfg   config
+	arena *memory.NativeArena
+	rec   *metrics.Recorder // nil unless WithMetrics
 }
 
 // New creates a recoverable mutex for n processes.
@@ -290,70 +275,17 @@ func New(n int, opts ...Option) (*Mutex, error) {
 	}
 	arena := memory.NewNativeArena(n, capacity, aopts...)
 	bal := spec.Build(arena, n)
-	m := &Mutex{
-		n:     n,
-		cfg:   cfg,
-		arena: arena,
-		lock:  bal,
-		ports: make([]memory.Port, n),
-	}
-	var fail memory.FailFunc
-	if cfg.fail != nil || cfg.labelFail != nil {
-		plain, labeled := cfg.fail, cfg.labelFail
-		fail = func(pid int, op memory.OpInfo) bool {
-			if plain != nil && plain(pid) {
-				return true
-			}
-			return labeled != nil && labeled(pid, op.Label)
-		}
-	}
+	m := &Mutex{eng: newEngine(n, &cfg), n: n, cfg: cfg, arena: arena}
 	if cfg.metrics {
 		// cfg.levels SALock filters plus the base lock itself.
 		m.rec = metrics.NewRecorder(n, cfg.levels+1, arena.Capacity())
 	}
-	if cfg.tracing {
-		m.fr = flight.NewRecorder(n, cfg.tracingOpts.RingSize)
-		if cfg.tracingOpts.Disabled {
-			m.fr.SetEnabled(false)
-		}
-		fr := m.fr
-		bal.SetPhaseHook(func(pid int, ph core.PhaseKind, level int) {
-			fr.Phase(pid, flightPhaseKind(ph), level)
-		})
-	}
-	m.aborts = make([]abortFlag, n)
-	for i := 0; i < n; i++ {
-		np := arena.Port(i, fail)
-		flag := &m.aborts[i].v
-		np.SetAbortHook(func(int) bool { return flag.Load() })
-		if m.fr != nil {
-			pid, fr := i, m.fr
-			np.SetLabelHook(func(l string) { fr.ObserveLabel(pid, l) })
-		}
-		if m.rec != nil {
-			m.ports[i] = m.rec.Port(np)
-		} else {
-			m.ports[i] = np
-		}
+	m.eng.watch(bal)
+	for i := range m.eng.procs {
+		s := &m.eng.procs[i]
+		s.lock, s.port, s.rec = bal, m.eng.port(arena, i, m.rec), m.rec
 	}
 	return m, nil
-}
-
-// flightPhaseKind maps a core pipeline phase to its flight event kind.
-func flightPhaseKind(ph core.PhaseKind) flight.Kind {
-	switch ph {
-	case core.PhaseFilter:
-		return flight.KindPhaseFilter
-	case core.PhaseSplitter:
-		return flight.KindPhaseSplitter
-	case core.PhaseFast:
-		return flight.KindPhaseFast
-	case core.PhaseCore:
-		return flight.KindPhaseCore
-	case core.PhaseArbitrator:
-		return flight.KindPhaseArbitrator
-	}
-	panic(fmt.Sprintf("rme: unknown phase %v", ph))
 }
 
 // N returns the number of processes.
@@ -361,13 +293,6 @@ func (m *Mutex) N() int { return m.n }
 
 // Footprint returns the number of shared-memory words the lock occupies.
 func (m *Mutex) Footprint() int { return m.arena.Size() }
-
-func (m *Mutex) port(pid int) memory.Port {
-	if pid < 0 || pid >= m.n {
-		panic(fmt.Sprintf("rme: pid %d out of range [0,%d)", pid, m.n))
-	}
-	return m.ports[pid]
-}
 
 // MetricsSnapshot returns the passage metrics accumulated so far. It may
 // be called from any goroutine while passages are in flight (in-flight
@@ -383,38 +308,22 @@ func (m *Mutex) MetricsSnapshot() (metrics.Snapshot, bool) {
 // SetTracing starts or stops flight recording at runtime. It is a no-op
 // on a mutex built without WithTracing (tracing cannot be enabled after
 // construction: the instrumentation is wired at New time).
-func (m *Mutex) SetTracing(on bool) {
-	if m.fr != nil {
-		m.fr.SetEnabled(on)
-	}
-}
+func (m *Mutex) SetTracing(on bool) { m.eng.setTracing(on) }
 
 // TracingEnabled reports whether flight recording is currently active.
-func (m *Mutex) TracingEnabled() bool {
-	return m.fr != nil && m.fr.Enabled()
-}
+func (m *Mutex) TracingEnabled() bool { return m.eng.tracingEnabled() }
 
 // FlightRecording snapshots the flight recorder's ring buffers into a
 // dumpable Recording (see cmd/rmetrace for rendering it). It may be
 // called from any goroutine while passages are in flight; concurrently
 // overwritten events are dropped, never torn. The second result is false
 // when the mutex was built without WithTracing.
-func (m *Mutex) FlightRecording() (*flight.Recording, bool) {
-	if m.fr == nil {
-		return nil, false
-	}
-	return m.fr.Snapshot(), true
-}
+func (m *Mutex) FlightRecording() (*flight.Recording, bool) { return m.eng.flightRecording() }
 
 // FlightProfile returns the phase-latency profile accumulated so far
 // (wall-clock histograms per pipeline phase and BA-Lock level). The
 // second result is false when the mutex was built without WithTracing.
-func (m *Mutex) FlightProfile() (flight.Profile, bool) {
-	if m.fr == nil {
-		return flight.Profile{}, false
-	}
-	return m.fr.Profile(), true
-}
+func (m *Mutex) FlightProfile() (flight.Profile, bool) { return m.eng.flightProfile() }
 
 // Lock acquires the mutex as process pid, running the Recover and Enter
 // segments of the paper's execution model. It is the correct call both
@@ -423,34 +332,10 @@ func (m *Mutex) FlightProfile() (flight.Profile, bool) {
 //
 // With failure injection enabled, Lock panics with an ErrCrash sentinel
 // at injected failures; use Passage for loop-free handling.
-func (m *Mutex) Lock(pid int) {
-	p := m.port(pid)
-	if m.rec != nil {
-		m.rec.PassageStart(pid)
-	}
-	if m.fr != nil {
-		m.fr.PassageBegin(pid)
-	}
-	m.lock.Recover(p)
-	m.lock.Enter(p)
-	if m.fr != nil {
-		m.fr.CSEnter(pid)
-	}
-}
+func (m *Mutex) Lock(pid int) { m.eng.lock(context.Background(), pid, "") }
 
 // Unlock releases the mutex as process pid (the Exit segment).
-func (m *Mutex) Unlock(pid int) {
-	if m.fr != nil {
-		m.fr.CSExit(pid)
-	}
-	m.lock.Exit(m.port(pid))
-	if m.rec != nil {
-		m.rec.PassageEnd(pid)
-	}
-	if m.fr != nil {
-		m.fr.PassageEnd(pid)
-	}
-}
+func (m *Mutex) Unlock(pid int) { m.eng.unlock(pid) }
 
 // Passage runs one passage: Recover, Enter, the critical section cs, and
 // Exit. It reports false if an injected failure interrupted the passage
@@ -465,27 +350,8 @@ func (m *Mutex) Unlock(pid int) {
 // or a nested mutex's injected failure unwinding through this one) is not
 // this passage's failure and propagates as a panic.
 func (m *Mutex) Passage(pid int, cs func()) (ok bool) {
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if m.rec != nil {
-				m.rec.Crash(pid)
-			}
-			if m.fr != nil {
-				m.fr.Crash(pid)
-			}
-			ok = false
-			return
-		}
-		panic(e)
-	}()
-	m.Lock(pid)
-	cs()
-	m.Unlock(pid)
-	return true
+	ok, _ = m.eng.passage(context.Background(), pid, "", cs)
+	return ok
 }
 
 // LockCtx acquires the mutex as process pid, giving up when ctx is
@@ -497,9 +363,9 @@ func (m *Mutex) Passage(pid int, cs func()) (ok bool) {
 // no recovery is pending and other processes observe at most one
 // wait-free "abandoned" handoff.
 //
-// Cancellation is polled from the spin-loop pause hook on a per-process
-// Go-level flag, so the failure-free path executes no extra
-// shared-memory instructions (its RMR cost is identical to Lock); an
+// Cancellation is polled from the spin-loop pause hook, which receives
+// from ctx.Done() without blocking on the acquiring goroutine itself, so
+// the failure-free path executes no extra shared-memory instructions (its RMR cost is identical to Lock); an
 // attempt that acquires without ever spinning notices cancellation at
 // the post-acquisition check and releases before returning ctx.Err().
 // Every cancelled attempt — pre-cancelled, mid-spin, or at the
@@ -509,131 +375,7 @@ func (m *Mutex) Passage(pid int, cs func()) (ok bool) {
 // With failure injection enabled, LockCtx panics with the ErrCrash
 // sentinel exactly like Lock — including when the crash lands during the
 // back-out; use PassageCtx for loop-free handling of both.
-func (m *Mutex) LockCtx(ctx context.Context, pid int) error {
-	p := m.port(pid)
-	if err := ctx.Err(); err != nil {
-		// Already cancelled: the lock is never touched, but the attempt
-		// still counts — and closes as aborted — so abort-rate
-		// denominators match the cancelled-mid-spin path (a TryLockFor
-		// with a non-positive deadline lands here on every call).
-		if m.rec != nil {
-			m.rec.PassageStart(pid)
-			m.rec.Abort(pid)
-		}
-		if m.fr != nil {
-			m.fr.PassageBegin(pid)
-			m.fr.Abort(pid)
-		}
-		return err
-	}
-
-	w := watchCtx(ctx, &m.aborts[pid].v)
-	defer w.Stop()
-
-	if m.rec != nil {
-		m.rec.PassageStart(pid)
-	}
-	if m.fr != nil {
-		m.fr.PassageBegin(pid)
-	}
-	if enterAborted(m.lock, p, pid) {
-		w.Stop()
-		m.lock.(core.Aborter).Abort(p)
-		if m.rec != nil {
-			m.rec.Abort(pid)
-		}
-		if m.fr != nil {
-			m.fr.Abort(pid)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// The flag was set by a previous LockCtx's watcher losing the
-		// race to Stop — impossible for a correctly serialized process,
-		// but fail closed rather than report a phantom cancel.
-		return context.Canceled
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled in the instant between the last spin and holding the
-		// lock: the caller never gets the critical section, so release
-		// and account the attempt as aborted — not as a passage, and
-		// with no phantom CS enter/exit in the flight recording. The
-		// watcher is stopped first so Exit's own Pause calls cannot
-		// re-panic off the raised flag.
-		w.Stop()
-		m.lock.Exit(p)
-		if m.rec != nil {
-			m.rec.Abort(pid)
-		}
-		if m.fr != nil {
-			m.fr.Abort(pid)
-		}
-		return err
-	}
-	if m.fr != nil {
-		m.fr.CSEnter(pid)
-	}
-	return nil
-}
-
-// ctxWatcher mirrors a context's cancellation into a process's abort
-// flag from a side goroutine, so the spin-loop Pause hook can poll a
-// plain atomic instead of the context.
-type ctxWatcher struct {
-	flag    *atomic.Bool
-	stop    chan struct{}
-	done    chan struct{}
-	stopped bool
-}
-
-// watchCtx starts the watcher. The caller must Stop it — and thereby
-// consume the flag — before any back-out runs (so the back-out's own
-// Pause calls cannot re-panic) and before returning (so a stale flag
-// cannot abort the process's next acquisition).
-func watchCtx(ctx context.Context, flag *atomic.Bool) *ctxWatcher {
-	w := &ctxWatcher{flag: flag, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(w.done)
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-w.stop:
-		}
-	}()
-	return w
-}
-
-// Stop terminates the watcher, waits it out, and lowers the flag.
-// Idempotent; single-goroutine use only.
-func (w *ctxWatcher) Stop() {
-	if w.stopped {
-		return
-	}
-	w.stopped = true
-	close(w.stop)
-	<-w.done
-	w.flag.Store(false)
-}
-
-// enterAborted runs Recover+Enter, converting the process's own ErrAbort
-// unwind (raised by Pause when the abort flag is up) into a true return.
-// Any other panic — including ErrCrash — propagates.
-func enterAborted(lk core.RecoverableLock, p memory.Port, pid int) (aborted bool) {
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if ab, ok := e.(memory.ErrAbort); ok && ab.PID == pid {
-			aborted = true
-			return
-		}
-		panic(e)
-	}()
-	lk.Recover(p)
-	lk.Enter(p)
-	return false
-}
+func (m *Mutex) LockCtx(ctx context.Context, pid int) error { return m.eng.lock(ctx, pid, "") }
 
 // TryLockFor acquires the mutex as process pid, giving up after d. It
 // reports whether the lock was acquired; on false the process has backed
@@ -653,29 +395,7 @@ func (m *Mutex) TryLockFor(pid int, d time.Duration) bool {
 // retry. A cancellation is reported as (false, ctx.Err()); the process
 // then holds nothing and no recovery is pending.
 func (m *Mutex) PassageCtx(ctx context.Context, pid int, cs func()) (ok bool, err error) {
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if m.rec != nil {
-				m.rec.Crash(pid)
-			}
-			if m.fr != nil {
-				m.fr.Crash(pid)
-			}
-			ok, err = false, nil
-			return
-		}
-		panic(e)
-	}()
-	if err := m.LockCtx(ctx, pid); err != nil {
-		return false, err
-	}
-	cs()
-	m.Unlock(pid)
-	return true, nil
+	return m.eng.passage(ctx, pid, "", cs)
 }
 
 // Crash simulates a failure of process pid at the current point — for use
