@@ -6,22 +6,23 @@
 // Usage:
 //
 //	rmebench [flags] <experiment>
+//	rmebench -check FILE...
 //
 // Run `rmebench` with no arguments for the experiment list: it is derived
 // from the same registry that dispatches them (and pinned by test), so the
 // documentation cannot drift from the implementation. Highlights:
 //
 //	adaptivity   Theorem 5.18: RMRs vs F with √F fit (headline result)
-//	native       wall-clock throughput of the sync/atomic backend
 //	metrics      exact CC-model RMR distributions (BENCH_metrics.json)
 //	des          virtual-time discrete-event traffic: arrival-rate ramp to
 //	             contention collapse, crash storms, Zipf keyspaces,
 //	             stragglers (BENCH_des.json)
 //	all          everything, in registry order
 //
-// With -json, tables (and the native-style reports) are emitted as JSON
-// documents instead of text — the format archived as BENCH_*.json (see
-// EXPERIMENTS.md).
+// With -json, tables and reports are emitted as JSON documents instead of
+// text — the format archived as BENCH_*.json (see EXPERIMENTS.md). With
+// -check, the arguments are BENCH_*.json files: every violated gate is
+// printed and the exit status is 1.
 package main
 
 import (
@@ -38,14 +39,8 @@ import (
 // options bundles every experiment's parsed configuration.
 type options struct {
 	opts  bench.Opts
-	nopts bench.NativeOpts
-	mopts bench.MetricsOpts
-	topts bench.TracingOpts
-	aopts bench.AbortOpts
-	kopts bench.MapOpts
-	dopts bench.DESOpts
+	ropts bench.ReportOpts
 	seed  int64
-	csv   bool
 	json  bool
 }
 
@@ -57,43 +52,35 @@ type experiment struct {
 	run  func(o options) error
 }
 
-// show renders a table honoring the output mode.
-func show(o options, t *bench.Table) error {
-	switch {
-	case o.json:
-		raw, err := t.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(raw))
-	case o.csv:
-		fmt.Print(t.CSV())
-	default:
-		fmt.Println(t)
-	}
-	return nil
-}
-
-// report is the common shape of the JSON-archived experiments.
-type report interface {
-	Table() *bench.Table
+// doc is an experiment's output: a table or a BENCH_*.json report.
+type doc interface {
+	fmt.Stringer
 	JSON() ([]byte, error)
 }
 
-// showReport renders a BENCH_*.json-style report honoring the output mode.
-func showReport(o options, rep report, err error) error {
+// show prints d as text, or as its JSON document under -json.
+func show(o options, d doc) error {
+	if !o.json {
+		fmt.Println(d)
+		return nil
+	}
+	raw, err := d.JSON()
 	if err != nil {
 		return err
 	}
-	if o.json {
-		raw, err := rep.JSON()
+	fmt.Println(string(raw))
+	return nil
+}
+
+// report adapts a BENCH_*.json experiment to the registry.
+func report(experiment func(bench.ReportOpts) (*bench.Report, error)) func(options) error {
+	return func(o options) error {
+		rep, err := experiment(o.ropts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(raw))
-		return nil
+		return show(o, rep)
 	}
-	return show(o, rep.Table())
 }
 
 // experiments is the single source of truth for the experiment set: the
@@ -149,30 +136,11 @@ var experiments = []experiment{
 	{"superpassage", "Section 7.3: super-passage cost under repeated self-crashes", func(o options) error {
 		return show(o, bench.SuperPassage(o.opts))
 	}},
-	{"native", "wall-clock throughput of the sync/atomic backend, padded vs unpadded arena (BENCH_native.json)", func(o options) error {
-		rep, err := bench.Native(o.nopts)
-		return showReport(o, rep, err)
-	}},
-	{"metrics", "exact CC-model RMR and level distributions on the native backend, swept over workers and failures F (BENCH_metrics.json)", func(o options) error {
-		rep, err := bench.PassageMetrics(o.mopts)
-		return showReport(o, rep, err)
-	}},
-	{"tracing", "flight-recorder overhead A/B: absent vs disabled vs recording (BENCH_tracing.json; CI bounds off at 5%)", func(o options) error {
-		rep, err := bench.Tracing(o.topts)
-		return showReport(o, rep, err)
-	}},
-	{"abort", "abortable passages: failure-free and back-out RMRs at abort rates 0/1%/10% (BENCH_abort.json)", func(o options) error {
-		rep, err := bench.AbortCost(o.aopts)
-		return showReport(o, rep, err)
-	}},
-	{"map", "keyed lock manager (rme.Map): RMRs under hot-key, Zipf and churn regimes (BENCH_map.json)", func(o options) error {
-		rep, err := bench.MapCost(o.kopts)
-		return showReport(o, rep, err)
-	}},
-	{"des", "virtual-time discrete-event traffic: rate ramp to collapse, crash storms vs uniform, Zipf keyspaces, stragglers (BENCH_des.json)", func(o options) error {
-		rep, err := bench.DESTraffic(o.dopts)
-		return showReport(o, rep, err)
-	}},
+	{"metrics", "exact CC-model RMR and level distributions on the native backend, swept over workers and failures F (BENCH_metrics.json)", report(bench.PassageMetrics)},
+	{"tracing", "flight-recorder overhead A/B: absent vs disabled vs recording (BENCH_tracing.json; -check bounds off at 5%)", report(bench.Tracing)},
+	{"abort", "abortable passages: failure-free and back-out RMRs at abort rates 0/1%/10% (BENCH_abort.json)", report(bench.AbortCost)},
+	{"map", "keyed lock manager (rme.Map): RMRs under hot-key, Zipf and churn regimes (BENCH_map.json)", report(bench.MapCost)},
+	{"des", "virtual-time discrete-event traffic: rate ramp to collapse, crash storms vs uniform, Zipf keyspaces, stragglers (BENCH_des.json)", report(bench.DESTraffic)},
 }
 
 // experimentNames lists the registry in order, with "all" appended.
@@ -187,7 +155,7 @@ func experimentNames() []string {
 // usageText renders the experiment list shown by -h and bad invocations.
 func usageText() string {
 	var b strings.Builder
-	b.WriteString("usage: rmebench [flags] <experiment>\nexperiments:\n")
+	b.WriteString("usage: rmebench [flags] <experiment>  |  rmebench -check FILE...\nexperiments:\n")
 	for _, e := range experiments {
 		fmt.Fprintf(&b, "  %-12s %s\n", e.name, e.desc)
 	}
@@ -215,6 +183,30 @@ func run(name string, o options) error {
 	return fmt.Errorf("unknown experiment %q (have: %s)", name, strings.Join(experimentNames(), " "))
 }
 
+// checkFiles gates BENCH_*.json files, printing every violation; it
+// reports whether all gates held.
+func checkFiles(files []string) (bool, error) {
+	bad, err := bench.Check(files...)
+	for _, v := range bad {
+		fmt.Println(v)
+	}
+	return err == nil && len(bad) == 0, err
+}
+
+// list parses a comma-separated flag value, item by item.
+func list[T any](flagName, s string, parse func(string) (T, error)) []T {
+	var out []T
+	for _, f := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rmebench: bad -%s item %q: %v\n", flagName, f, err)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 func main() {
 	var (
 		n        = flag.Int("n", 16, "number of processes")
@@ -222,23 +214,19 @@ func main() {
 		failures = flag.Int("failures", 0, "failure budget for the F-failures scenario (default n)")
 		seeds    = flag.String("seeds", "1,2,3", "comma-separated seeds to average over")
 		seed     = flag.Int64("seed", 21, "seed for single-run figures")
-		csv      = flag.Bool("csv", false, "emit tables as CSV (figures stay textual)")
 		jsonOut  = flag.Bool("json", false, "emit tables and reports as JSON")
-		workers  = flag.Int("workers", 8, "native/metrics/des: max concurrent workers")
-		passages = flag.Int("passages", 20000, "native: passages per measurement")
-		reps     = flag.Int("reps", 3, "native: repetitions per measurement (best kept)")
-		mpass    = flag.Int("mpassages", 5000, "metrics: passages per measurement")
+		check    = flag.Bool("check", false, "gate the BENCH_*.json files named as arguments instead of running an experiment")
+		workers  = flag.Int("workers", 8, "metrics/tracing: max concurrent workers; abort/map/des: workers")
+		passages = flag.Int("passages", 20000, "tracing: passages per rep")
+		reps     = flag.Int("reps", 3, "tracing: reps per measurement (median kept)")
+		mpass    = flag.Int("mpassages", 5000, "metrics/abort/map: passages per measurement")
 		mfail    = flag.String("mfailures", "1,2,4,8,16,32", "metrics: comma-separated injected failure budgets F")
-		arates   = flag.String("arates", "0,0.01,0.10", "abort: comma-separated deadline-attempt rates")
-		mapkeys  = flag.Int("mapkeys", 64, "map: zipf-mode key-space size")
-		zipfs    = flag.Float64("zipfs", 1.1, "map: zipf skew parameter s (> 1)")
 		churnkey = flag.Int("churnkeys", 2048, "map: distinct keys in the churn mode")
 		desreq   = flag.Int("desrequests", 60, "des: satisfied requests per process per run")
 		desrates = flag.String("desrates", "", "des: comma-separated arrival-rate ramp (req/s per process; default 2k,10k,50k,200k,1M)")
 		desseed  = flag.Int64("desseed", 1, "des: seed (fixed so BENCH_des.json is reproducible)")
 		deskeys  = flag.Int("deskeys", 16, "des: zipf-regime keyspace size")
 		descrash = flag.Int("descrashes", 24, "des: crash-regime failure budget")
-		desabort = flag.Int64("desaborts", 0, "des: abort-regime deadline in virtual ns (default 30µs)")
 		version  = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Usage = func() {
@@ -250,67 +238,47 @@ func main() {
 		fmt.Println(buildinfo.String("rmebench"))
 		return
 	}
-	if flag.NArg() != 1 {
+	if *check && flag.NArg() == 0 || !*check && flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *csv && *jsonOut {
-		fmt.Fprintln(os.Stderr, "rmebench: -csv and -json are mutually exclusive")
-		os.Exit(2)
-	}
-
-	var seedList []int64
-	for _, s := range strings.Split(*seeds, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if *check {
+		ok, err := checkFiles(flag.Args())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmebench: bad seed %q: %v\n", s, err)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "rmebench: %v\n", err)
 		}
-		seedList = append(seedList, v)
-	}
-	var failList []int
-	for _, s := range strings.Split(*mfail, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v < 0 {
-			fmt.Fprintf(os.Stderr, "rmebench: bad failure budget %q\n", s)
-			os.Exit(2)
+		if !ok {
+			os.Exit(1)
 		}
-		failList = append(failList, v)
-	}
-	var rateList []float64
-	for _, s := range strings.Split(*arates, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v < 0 || v > 1 {
-			fmt.Fprintf(os.Stderr, "rmebench: bad abort rate %q\n", s)
-			os.Exit(2)
-		}
-		rateList = append(rateList, v)
-	}
-	var desRateList []float64
-	if *desrates != "" {
-		for _, s := range strings.Split(*desrates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "rmebench: bad des rate %q\n", s)
-				os.Exit(2)
-			}
-			desRateList = append(desRateList, v)
-		}
+		return
 	}
 
 	o := options{
-		opts:  bench.Opts{N: *n, Requests: *requests, Failures: *failures, Seeds: seedList},
-		nopts: bench.NativeOpts{MaxWorkers: *workers, Passages: *passages, Reps: *reps},
-		mopts: bench.MetricsOpts{MaxWorkers: *workers, Passages: *mpass, Failures: failList},
-		topts: bench.TracingOpts{MaxWorkers: *workers, Passages: *passages, Reps: *reps},
-		aopts: bench.AbortOpts{Workers: *workers, Passages: *mpass, Rates: rateList},
-		kopts: bench.MapOpts{Workers: *workers, Keys: *mapkeys, ZipfS: *zipfs, Passages: *mpass, ChurnKeys: *churnkey},
-		dopts: bench.DESOpts{Workers: *workers, Requests: *desreq, Seed: *desseed,
-			Rates: desRateList, Keys: *deskeys, CrashBudget: *descrash,
-			AbortDeadlineNs: *desabort},
+		opts: bench.Opts{N: *n, Requests: *requests, Failures: *failures,
+			Seeds: list("seeds", *seeds, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })},
+		ropts: bench.ReportOpts{
+			Workers:       *workers,
+			Passages:      *mpass,
+			Failures:      list("mfailures", *mfail, strconv.Atoi),
+			ChurnKeys:     *churnkey,
+			TimedPassages: *passages,
+			Reps:          *reps,
+			DESRequests:   *desreq,
+			DESSeed:       *desseed,
+			DESKeys:       *deskeys,
+			DESCrashes:    *descrash,
+		},
 		seed: *seed,
-		csv:  *csv,
 		json: *jsonOut,
+	}
+	if *desrates != "" {
+		o.ropts.DESRates = list("desrates", *desrates, func(s string) (float64, error) {
+			v, err := strconv.ParseFloat(s, 64)
+			if err == nil && v <= 0 {
+				err = fmt.Errorf("rate must be positive")
+			}
+			return v, err
+		})
 	}
 	if err := run(flag.Arg(0), o); err != nil {
 		fmt.Fprintf(os.Stderr, "rmebench: %v\n", err)

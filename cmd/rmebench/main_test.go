@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rme/internal/bench"
 )
 
 // TestUsageDerivedFromRegistry pins the anti-drift property: every
@@ -83,26 +86,50 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunDES exercises the des experiment end to end at miniature scale,
-// with output redirected away from the test log.
-func TestRunDES(t *testing.T) {
+// quiet redirects stdout away from the test log until the test ends.
+func quiet(t *testing.T) {
 	old := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = null
-	defer func() {
+	t.Cleanup(func() {
 		os.Stdout = old
 		null.Close()
-	}()
-	o := options{json: true}
-	o.dopts.Workers = 2
-	o.dopts.Requests = 4
-	o.dopts.Rates = []float64{5_000}
-	o.dopts.Keys = 4
-	o.dopts.CrashBudget = 2
+	})
+}
+
+// TestRunDES exercises the des experiment end to end at miniature scale,
+// through the des flags' options.
+func TestRunDES(t *testing.T) {
+	quiet(t)
+	o := options{json: true, ropts: bench.ReportOpts{Workers: 2, DESRequests: 4,
+		DESRates: []float64{5_000}, DESKeys: 4, DESCrashes: 2}}
 	if err := run("des", o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckFiles drives the -check path: the checked-in reports pass, a
+// report that breaks a gate fails, and an unreadable file is an error.
+func TestCheckFiles(t *testing.T) {
+	quiet(t)
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checked-in reports: %v", err)
+	}
+	if ok, err := checkFiles(files); !ok || err != nil {
+		t.Fatalf("checked-in reports fail their gates (err %v)", err)
+	}
+	empty := filepath.Join(t.TempDir(), "BENCH_metrics.json")
+	if err := os.WriteFile(empty, []byte(`{"schema": "rme-bench-metrics/v1", "results": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := checkFiles([]string{empty}); ok || err != nil {
+		t.Fatalf("empty report: ok=%v err=%v, want a gate violation", ok, err)
+	}
+	if ok, err := checkFiles([]string{filepath.Join(t.TempDir(), "missing.json")}); ok || err == nil {
+		t.Fatalf("missing file: ok=%v err=%v, want an error", ok, err)
 	}
 }

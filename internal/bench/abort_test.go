@@ -1,57 +1,30 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"rme"
-	"rme/internal/metrics"
 )
 
-// TestAbortCostSweepShape drives the experiment through the stubbed
-// runner and checks the sweep structure: every native lock is measured at
-// every configured rate, in order.
+// TestAbortCostSweepShape checks the sweep structure on tiny real runs:
+// every native lock is measured at every abort rate, in order.
 func TestAbortCostSweepShape(t *testing.T) {
-	var rates []float64
-	orig := abortRunner
-	abortRunner = func(lockOpts []rme.Option, workers, passages int, rate float64) (metrics.Snapshot, error) {
-		if workers != 4 || passages != 800 {
-			t.Fatalf("runner called with workers=%d passages=%d", workers, passages)
-		}
-		rates = append(rates, rate)
-		return metrics.Snapshot{
-			Attempts:     101,
-			Passages:     100,
-			Aborted:      1,
-			RMRHist:      metrics.Hist{Counts: make([]uint64, metrics.RMRBuckets)},
-			AbortRMRHist: metrics.Hist{Counts: make([]uint64, metrics.RMRBuckets)},
-		}, nil
-	}
-	defer func() { abortRunner = orig }()
-
-	rep, err := AbortCost(AbortOpts{Workers: 4, Passages: 800, Rates: []float64{0, 0.5}})
+	rep, err := AbortCost(ReportOpts{Workers: 4, Passages: 80})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// 2 locks × 2 rates.
-	if len(rates) != 4 {
-		t.Fatalf("%d runner calls, want 4", len(rates))
-	}
-	for i, r := range rates {
-		if want := []float64{0, 0.5}[i%2]; r != want {
-			t.Fatalf("call %d ran rate %g, want %g", i, r, want)
-		}
-	}
-	if len(rep.Results) != 4 {
-		t.Fatalf("%d results, want 4", len(rep.Results))
 	}
 	if rep.Schema != "rme-bench-abort/v1" {
 		t.Fatalf("schema %q", rep.Schema)
 	}
-	for _, res := range rep.Results {
-		if res.Attempts != res.Passages+res.Aborted {
-			t.Fatalf("result breaks the attempts identity: %+v", res)
+	// 2 locks × 3 rates.
+	if len(rep.Results) != 2*len(abortRates) {
+		t.Fatalf("%d results, want %d", len(rep.Results), 2*len(abortRates))
+	}
+	for i, res := range rep.Results {
+		if want := abortRates[i%len(abortRates)]; res.Rate != want || res.Workers != 4 {
+			t.Fatalf("row %d ran rate %g workers %d, want rate %g workers 4", i, res.Rate, res.Workers, want)
+		}
+		if res.Attempts != res.Passages+res.Aborted || res.Passages != 80 {
+			t.Fatalf("row %d breaks the attempts identity or the passage target: %+v", i, res)
 		}
 	}
 	if _, err := rep.JSON(); err != nil {
@@ -62,42 +35,24 @@ func TestAbortCostSweepShape(t *testing.T) {
 	}
 }
 
-// TestAbortRunReal runs a tiny real measurement end to end: the snapshot
-// must satisfy the attempts identity, complete the passage target, and at
-// a high rate with contention it must deliver at least one abort.
+// TestAbortRunReal runs a tiny real measurement end to end at a high
+// rate with contention: the row must satisfy the attempts identity and
+// complete exactly the passage target.
 func TestAbortRunReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real abort measurement; skipped with -short")
 	}
-	s, err := abortRun(nil, 4, 400, 0.5)
+	row, err := abortRow(nil, 4, 400, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Attempts != s.Passages+s.Aborted+s.CrashedAttempts {
-		t.Fatalf("attempts=%d != passages=%d + aborted=%d + crashed=%d",
-			s.Attempts, s.Passages, s.Aborted, s.CrashedAttempts)
+	if row.Attempts != row.Passages+row.Aborted {
+		t.Fatalf("attempts=%d != passages=%d + aborted=%d", row.Attempts, row.Passages, row.Aborted)
 	}
-	if s.Passages < 400 {
-		t.Fatalf("completed %d passages, want >= 400", s.Passages)
+	if row.Passages != 400 {
+		t.Fatalf("completed %d passages, want 400", row.Passages)
 	}
-	if s.CrashedAttempts != 0 {
-		t.Fatalf("abort run recorded %d crashed attempts", s.CrashedAttempts)
-	}
-
-	// The JSON document round-trips.
-	rep := &AbortReport{Schema: "rme-bench-abort/v1", Results: []AbortResult{{
-		Lock: "ba-log", Workers: 4, Rate: 0.5,
-		Attempts: s.Attempts, Passages: s.Passages, Aborted: s.Aborted,
-	}}}
-	b, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back AbortReport
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Results[0].Attempts != s.Attempts {
-		t.Fatal("JSON round-trip lost the attempt count")
+	if row.Crashes != 0 {
+		t.Fatalf("abort run recorded %d crashes", row.Crashes)
 	}
 }

@@ -283,26 +283,3 @@ func (t *Table) JSON() ([]byte, error) {
 		Notes:   t.Notes,
 	}, "", "  ")
 }
-
-// CSV renders the table as RFC-4180-style comma-separated values (header
-// row first, notes omitted) for plotting pipelines.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			sb.WriteString(c)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return sb.String()
-}

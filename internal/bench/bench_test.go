@@ -138,14 +138,3 @@ func TestComponentsTable(t *testing.T) {
 		t.Fatalf("components table has errors:\n%s", s)
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Columns: []string{"a", "b"}}
-	tb.Add("x,y", 3)
-	tb.Add(`quote"inside`, 1.5)
-	got := tb.CSV()
-	want := "a,b\n\"x,y\",3\n\"quote\"\"inside\",1.5\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"rme/internal/des"
 )
@@ -14,9 +12,9 @@ import (
 // comparison, a Zipf-keyed bursty regime and a straggler regime. Unlike
 // the wall-clock experiments the numbers are deterministic — the same
 // seed reproduces the report bit for bit — so BENCH_des.json is checked
-// in and the CI des-gate asserts its invariants (schema, monotone
-// percentiles, and the low-rate anchor matching the native
-// BENCH_metrics.json failure-free medians).
+// in, CI regenerates and diffs it, and Check asserts its invariants
+// (monotone percentiles, delivered crashes and aborts, and the low-rate
+// anchor costing exactly the native failure-free median).
 
 // desLocks maps each native lock of the metrics experiment to the
 // simulator spec built from the same recipe (base lock, level schedule,
@@ -29,184 +27,81 @@ var desLocks = []struct {
 	{name: "ba-sublog", sim: "ba-sublog-pool"},
 }
 
-// DESOpts configures the des experiment.
-type DESOpts struct {
-	// Workers is the process count of the contended regimes (default 8).
-	Workers int
-	// Requests is the satisfied-request target per process (default 60).
-	Requests int
-	// Seed drives every run (default 1).
-	Seed int64
-	// Rates is the arrival-rate ramp in requests per second per process
-	// (default 2k, 10k, 50k, 200k, 1M — trickle to collapse).
-	Rates []float64
-	// Keys is the keyspace size of the Zipf regime (default 16).
-	Keys int
-	// CrashBudget is the failure budget of the crash regimes (default 24).
-	CrashBudget int
-	// AbortDeadlineNs is the passage deadline of the abort regime in
-	// virtual nanoseconds (default 30µs — shorter than p50 waiting time at
-	// the collapse rate, so deadlines actually fire).
-	AbortDeadlineNs int64
-}
-
-func (o *DESOpts) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-	if o.Requests <= 0 {
-		o.Requests = 60
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Rates == nil {
-		o.Rates = []float64{2_000, 10_000, 50_000, 200_000, 1_000_000}
-	}
-	if o.Keys <= 0 {
-		o.Keys = 16
-	}
-	if o.CrashBudget <= 0 {
-		o.CrashBudget = 24
-	}
-	if o.AbortDeadlineNs <= 0 {
-		o.AbortDeadlineNs = 30_000
-	}
-}
-
-// DESResult is one simulated configuration.
-type DESResult struct {
-	Lock            string  `json:"lock"`     // native lock name ("ba-log")
-	SimLock         string  `json:"sim_lock"` // simulator spec ("ba-pool")
-	Regime          string  `json:"regime"`   // anchor | ramp | crash-uniform | crash-storm | zipf | abort | straggler
-	Workers         int     `json:"workers"`
-	Failures        int     `json:"failures"` // injected budget (0 outside crash regimes)
-	RatePerSec      float64 `json:"rate_per_sec"`
-	Requests        int     `json:"requests_per_proc"`
-	Keys            int     `json:"keys"`
-	Passages        int     `json:"passages"`
-	CrashedPassages int     `json:"crashed_passages"`
-	AbortedPassages int     `json:"aborted_passages"`
-	Crashes         int     `json:"crashes"`
-	VirtualMs       float64 `json:"virtual_ms"`
-	Throughput      float64 `json:"throughput_per_sec"`
-	P50Ns           int64   `json:"p50_ns"`
-	P90Ns           int64   `json:"p90_ns"`
-	P99Ns           int64   `json:"p99_ns"`
-	MeanNs          float64 `json:"mean_ns"`
-	RMRMedian       int64   `json:"rmr_median"`
-	MaxLevel        int     `json:"max_level"`
-	MaxKeyOverlap   int     `json:"max_key_cs_overlap"`
-	TraceHash       string  `json:"trace_hash"`
-}
-
-// DESReport is the BENCH_des.json document.
-type DESReport struct {
-	Schema    string      `json:"schema"` // "rme-bench-des/v1"
-	GoVersion string      `json:"go_version"`
-	Seed      int64       `json:"seed"`
-	Requests  int         `json:"requests_per_proc"`
-	Results   []DESResult `json:"results"`
-}
-
-// desRunner is the measurement seam; tests stub it to exercise the sweep
-// structure without running real simulations.
-var desRunner = des.Run
+// desAbortDeadlineNs is the passage deadline of the abort regime in
+// virtual nanoseconds: shorter than the p50 waiting time at the collapse
+// rate, so deadlines actually fire.
+const desAbortDeadlineNs = 30_000
 
 // DESTraffic runs the full trajectory and assembles the report.
-func DESTraffic(o DESOpts) (*DESReport, error) {
-	o.fill()
-	rep := &DESReport{
-		Schema:    "rme-bench-des/v1",
-		GoVersion: runtime.Version(),
-		Seed:      o.Seed,
-		Requests:  o.Requests,
-	}
-	for _, lk := range desLocks {
-		base := des.Config{
-			Lock:     lk.sim,
-			N:        o.Workers,
-			Requests: o.Requests,
-			Seed:     o.Seed,
-		}
+func DESTraffic(o ReportOpts) (*Report, error) {
+	return desTraffic(o, des.Run)
+}
 
+// desTraffic runs the trajectory through run, one call per row.
+func desTraffic(o ReportOpts, run func(des.Config) (*des.Result, error)) (*Report, error) {
+	o.fill()
+	rep := &Report{Schema: schemaOf("des"), Seed: o.DESSeed, Requests: o.DESRequests}
+	rates := o.DESRates
+	mid, top := rates[len(rates)/2], rates[len(rates)-1]
+	for _, lk := range desLocks {
+		at := func(kind des.ArrivalKind, rate float64) des.Config {
+			return des.Config{Lock: lk.sim, N: o.Workers, Requests: o.DESRequests, Seed: o.DESSeed,
+				Arrival: des.Arrival{Kind: kind, Rate: rate}}
+		}
+		type point struct {
+			regime string
+			cfg    des.Config
+		}
 		// Anchor: one process at the lowest ramp rate. Uncontended virtual
 		// traffic must reproduce the native failure-free RMR median
-		// (BENCH_metrics.json workers=1 F=0) — the des-gate enforces ±5%.
-		anchor := base
+		// (BENCH_metrics.json workers=1 F=0), which Check pins exactly.
+		anchor := at(des.Poisson, rates[0])
 		anchor.N = 1
-		anchor.Arrival = des.Arrival{Kind: des.Poisson, Rate: o.Rates[0]}
-		if err := desRow(rep, "anchor", lk.name, anchor); err != nil {
-			return nil, err
-		}
-
+		points := []point{{"anchor", anchor}}
 		// Ramp: arrival rate swept to contention collapse.
-		for _, rate := range o.Rates {
-			cfg := base
-			cfg.Arrival = des.Arrival{Kind: des.Poisson, Rate: rate}
-			if err := desRow(rep, "ramp", lk.name, cfg); err != nil {
-				return nil, err
-			}
+		for _, rate := range rates {
+			points = append(points, point{"ramp", at(des.Poisson, rate)})
 		}
-
 		// Crash regimes at a mid-ramp rate: the same budget spread
 		// uniformly vs concentrated into correlated storms.
-		midRate := o.Rates[len(o.Rates)/2]
-		for _, regime := range []struct {
-			name string
-			kind des.CrashKind
-		}{
-			{"crash-uniform", des.Uniform},
-			{"crash-storm", des.Storm},
-		} {
-			cfg := base
-			cfg.Arrival = des.Arrival{Kind: des.Poisson, Rate: midRate}
-			cfg.Crashes = des.Crashes{Kind: regime.kind, Budget: o.CrashBudget,
-				MeanGapNs: 100_000, StormGapNs: 400_000}
-			if err := desRow(rep, regime.name, lk.name, cfg); err != nil {
-				return nil, err
-			}
+		for _, c := range []struct {
+			regime string
+			kind   des.CrashKind
+		}{{"crash-uniform", des.Uniform}, {"crash-storm", des.Storm}} {
+			cfg := at(des.Poisson, mid)
+			cfg.Crashes = des.Crashes{Kind: c.kind, Budget: o.DESCrashes, MeanGapNs: 100_000, StormGapNs: 400_000}
+			points = append(points, point{c.regime, cfg})
 		}
-
 		// Zipf-keyed bursty traffic over an rme.Map-shaped keyspace.
-		keyed := base
-		keyed.Keys = o.Keys
-		keyed.Arrival = des.Arrival{Kind: des.Bursty, Rate: o.Rates[len(o.Rates)-1]}
-		if err := desRow(rep, "zipf", lk.name, keyed); err != nil {
-			return nil, err
-		}
-
+		keyed := at(des.Bursty, top)
+		keyed.Keys = o.DESKeys
 		// Deadline-abort traffic at the collapse rate: waiting long enough
 		// that per-passage deadlines fire, exercising the TryLockFor shape
 		// (back-out, fresh-arrival retry) under sustained contention.
-		abort := base
-		abort.Arrival = des.Arrival{Kind: des.Poisson, Rate: o.Rates[len(o.Rates)-1]}
-		abort.Aborts = des.Aborts{DeadlineNs: o.AbortDeadlineNs}
-		if err := desRow(rep, "abort", lk.name, abort); err != nil {
-			return nil, err
-		}
-
+		abort := at(des.Poisson, top)
+		abort.Aborts = des.Aborts{DeadlineNs: desAbortDeadlineNs}
 		// One straggler running 8x slow through mid-ramp traffic.
-		strag := base
-		strag.Arrival = des.Arrival{Kind: des.Poisson, Rate: midRate}
+		strag := at(des.Poisson, mid)
 		strag.Stragglers = des.Stragglers{Count: 1, Factor: 8}
-		if err := desRow(rep, "straggler", lk.name, strag); err != nil {
-			return nil, err
+		points = append(points, point{"zipf", keyed}, point{"abort", abort}, point{"straggler", strag})
+
+		for _, pt := range points {
+			res, err := run(pt.cfg)
+			if err == nil && res.MaxKeyCSOverlap > 1 {
+				err = fmt.Errorf("per-key CS overlap %d", res.MaxKeyCSOverlap)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("bench: des %s %s: %w", lk.name, pt.regime, err)
+			}
+			rep.Results = append(rep.Results, desRow(pt.regime, lk.name, pt.cfg, res))
 		}
 	}
 	return rep, nil
 }
 
-// desRow runs one configuration and appends its row.
-func desRow(rep *DESReport, regime, lock string, cfg des.Config) error {
-	res, err := desRunner(cfg)
-	if err != nil {
-		return fmt.Errorf("bench: des %s %s: %w", lock, regime, err)
-	}
-	if res.MaxKeyCSOverlap > 1 {
-		return fmt.Errorf("bench: des %s %s: per-key CS overlap %d", lock, regime, res.MaxKeyCSOverlap)
-	}
-	rep.Results = append(rep.Results, DESResult{
+// desRow condenses one simulation into its row.
+func desRow(regime, lock string, cfg des.Config, res *des.Result) Row {
+	return Row{
 		Lock:            lock,
 		SimLock:         cfg.Lock,
 		Regime:          regime,
@@ -215,44 +110,19 @@ func desRow(rep *DESReport, regime, lock string, cfg des.Config) error {
 		RatePerSec:      cfg.Arrival.Rate,
 		Requests:        cfg.Requests,
 		Keys:            cfg.Keys,
-		Passages:        res.Passages,
+		Passages:        uint64(res.Passages),
 		CrashedPassages: res.CrashedPassages,
 		AbortedPassages: res.AbortedPassages,
-		Crashes:         res.Crashes,
+		Crashes:         uint64(res.Crashes),
 		VirtualMs:       float64(res.VirtualNs) / 1e6,
 		Throughput:      res.ThroughputPerSec,
 		P50Ns:           res.Passage.P50Ns,
 		P90Ns:           res.Passage.P90Ns,
 		P99Ns:           res.Passage.P99Ns,
 		MeanNs:          res.Passage.MeanNs,
-		RMRMedian:       res.RMRMedian,
+		RMRMedian:       int(res.RMRMedian),
 		MaxLevel:        res.MaxLevel,
 		MaxKeyOverlap:   res.MaxKeyCSOverlap,
 		TraceHash:       fmt.Sprintf("%016x", res.TraceHash),
-	})
-	return nil
-}
-
-// Table renders the report for the text mode.
-func (r *DESReport) Table() *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("DES traffic trajectory (virtual time, seed=%d, deterministic)", r.Seed),
-		Columns: []string{"lock", "regime", "n", "rate/s", "thr/s", "p50 ns", "p90 ns", "p99 ns", "rmr med", "crashes", "max lvl"},
-		Notes: []string{
-			"virtual-time discrete-event simulation: numbers are deterministic, not wall-clock",
-			"anchor rows (n=1, low rate) must match BENCH_metrics.json F=0 medians within ±5%",
-			"expect: p50 flat along the low ramp, then a knee into contention collapse",
-		},
 	}
-	for _, res := range r.Results {
-		t.Add(res.Lock, res.Regime, res.Workers, res.RatePerSec,
-			fmt.Sprintf("%.0f", res.Throughput), res.P50Ns, res.P90Ns, res.P99Ns,
-			res.RMRMedian, res.Crashes, res.MaxLevel)
-	}
-	return t
-}
-
-// JSON serializes the report (the BENCH_des.json format).
-func (r *DESReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }

@@ -13,15 +13,13 @@ import (
 // regimes, one zipf, one abort and one straggler run, in that order.
 func TestDESTrafficStructure(t *testing.T) {
 	var calls []des.Config
-	orig := desRunner
-	desRunner = func(cfg des.Config) (*des.Result, error) {
+	stub := func(cfg des.Config) (*des.Result, error) {
 		calls = append(calls, cfg)
 		return &des.Result{Passages: 1, VirtualNs: 1, MaxKeyCSOverlap: 1}, nil
 	}
-	defer func() { desRunner = orig }()
 
 	rates := []float64{100, 200, 300}
-	rep, err := DESTraffic(DESOpts{Workers: 4, Requests: 5, Rates: rates, Keys: 8, CrashBudget: 6})
+	rep, err := desTraffic(ReportOpts{Workers: 4, DESRequests: 5, DESRates: rates, DESKeys: 8, DESCrashes: 6}, stub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,7 @@ func TestDESTrafficStructure(t *testing.T) {
 			t.Fatalf("zipf regime misconfigured: %+v", zipf)
 		}
 		abort := seq[4+len(rates)]
-		if abort.Aborts.DeadlineNs != 30_000 || abort.Arrival.Rate != rates[len(rates)-1] ||
+		if abort.Aborts.DeadlineNs != desAbortDeadlineNs || abort.Arrival.Rate != rates[len(rates)-1] ||
 			rows[4+len(rates)].Regime != "abort" {
 			t.Fatalf("abort regime misconfigured: %+v", abort)
 		}
@@ -77,9 +75,9 @@ func TestDESTrafficStructure(t *testing.T) {
 }
 
 // TestDESTrafficReal runs a miniature real trajectory end to end and
-// checks the report invariants the CI des-gate asserts.
+// checks the report invariants the des gates assert.
 func TestDESTrafficReal(t *testing.T) {
-	rep, err := DESTraffic(DESOpts{Workers: 3, Requests: 8, Rates: []float64{2_000, 500_000}, Keys: 4, CrashBudget: 4})
+	rep, err := DESTraffic(ReportOpts{Workers: 3, DESRequests: 8, DESRates: []float64{2_000, 500_000}, DESKeys: 4, DESCrashes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestDESTrafficReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var round DESReport
+	var round Report
 	if err := json.Unmarshal(blob, &round); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +119,7 @@ func TestDESTrafficReal(t *testing.T) {
 // TestDESTrafficDeterministic pins the checked-in-report property: two
 // runs of the same options produce identical trace hashes.
 func TestDESTrafficDeterministic(t *testing.T) {
-	opts := DESOpts{Workers: 2, Requests: 5, Rates: []float64{10_000}, Keys: 4, CrashBudget: 2}
+	opts := ReportOpts{Workers: 2, DESRequests: 5, DESRates: []float64{10_000}, DESKeys: 4, DESCrashes: 2}
 	a, err := DESTraffic(opts)
 	if err != nil {
 		t.Fatal(err)

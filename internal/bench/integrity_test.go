@@ -94,35 +94,3 @@ func TestTableJSON(t *testing.T) {
 		t.Fatalf("unexpected document: %+v", doc)
 	}
 }
-
-// TestNativeSmoke runs the wall-clock benchmark at miniature scale and
-// checks the report's shape and JSON validity. Relative padded/unpadded
-// ordering is NOT asserted here — at this scale on a loaded CI machine
-// the numbers are noise; BENCH_native.json records a real run.
-func TestNativeSmoke(t *testing.T) {
-	rep, err := Native(NativeOpts{MaxWorkers: 2, Passages: 64, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "rme-bench-native/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	// 2 locks × workers {1,2} × 2 layouts.
-	if len(rep.Results) != 2*2*2 {
-		t.Fatalf("%d results, want 8", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.NsPerPassage <= 0 || r.PassagesPerSec <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-	}
-	raw, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc NativeReport
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("report JSON invalid: %v", err)
-	}
-	assertRowArity(t, "native", rep.Table())
-}

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 
 	"rme"
@@ -16,11 +14,11 @@ import (
 //   - hot: every worker hammers one key — pure contention on a single
 //     sub-arena. The hot-key median is the regression anchor: per-key
 //     passages run the same BA-Lock as a standalone Mutex, so it must
-//     stay within 2x of the metrics experiment's F=0 median (the CI
-//     map gate asserts this; the slack absorbs shard-map scheduling
-//     noise, not algorithmic regressions).
-//   - zipf: workers draw keys from a Zipf(s) distribution over a small
-//     key space — the skewed-popularity case sharded maps exist for.
+//     stay within 2x of the metrics experiment's F=0 median (Check
+//     asserts this; the slack absorbs shard-map scheduling noise, not
+//     algorithmic regressions).
+//   - zipf: workers draw keys from a Zipf(1.1) distribution over a
+//     64-key space — the skewed-popularity case sharded maps exist for.
 //   - churn: every passage touches a brand-new key through a map
 //     deliberately configured with one shard and few segment slots, so
 //     key lifecycle (evict, recycle, re-instantiate) dominates. The
@@ -28,199 +26,72 @@ import (
 //
 // Results serialize as BENCH_map.json (rme-bench-map/v1).
 
-// MapOpts configures the map experiment.
-type MapOpts struct {
-	// Workers is the fixed worker count (default 8).
-	Workers int
-	// Keys is the zipf-mode key-space size (default 64).
-	Keys int
-	// ZipfS is the zipf skew parameter s > 1 (default 1.1).
-	ZipfS float64
-	// Passages is the total completed-passage target per measurement
-	// (default 5000).
-	Passages int
-	// ChurnKeys is the number of distinct keys the churn mode touches,
-	// one passage each (default 2048).
-	ChurnKeys int
-}
+// The zipf mode's key space and skew.
+const (
+	mapZipfKeys = 64
+	mapZipfS    = 1.1
+)
 
-func (o *MapOpts) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-	if o.Keys <= 0 {
-		o.Keys = 64
-	}
-	if o.ZipfS <= 1 {
-		o.ZipfS = 1.1
-	}
-	if o.Passages <= 0 {
-		o.Passages = 5000
-	}
-	if o.ChurnKeys <= 0 {
-		o.ChurnKeys = 2048
-	}
-}
-
-// MapResult is one measured configuration.
-type MapResult struct {
-	Lock     string  `json:"lock"`
-	Mode     string  `json:"mode"` // hot | zipf | churn
-	Workers  int     `json:"workers"`
-	Keys     int     `json:"keys"`   // key-space size offered to workers
-	ZipfS    float64 `json:"zipf_s"` // 0 outside zipf mode
-	Attempts uint64  `json:"attempts"`
-	Passages uint64  `json:"passages"`
-	// Per-passage exact CC RMRs, merged across every segment recorder.
-	RMRMedian int     `json:"rmr_median"`
-	RMRP99    int     `json:"rmr_p99"`
-	RMRMean   float64 `json:"rmr_mean"`
-	// Key lifecycle accounting at the end of the run.
-	DistinctKeys   int    `json:"distinct_keys"` // keys actually touched
-	SlotWords      int    `json:"slot_words"`    // deterministic per-key footprint
-	FootprintWords int    `json:"footprint_words"`
-	Segments       int    `json:"segments"`
-	Instantiated   uint64 `json:"instantiated"`
-	Recycled       uint64 `json:"recycled"`
-	Evictions      uint64 `json:"evictions"`
-}
-
-// MapReport is the BENCH_map.json document.
-type MapReport struct {
-	Schema     string      `json:"schema"` // "rme-bench-map/v1"
-	GoVersion  string      `json:"go_version"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	NumCPU     int         `json:"num_cpu"`
-	Passages   int         `json:"passages_per_measurement"`
-	Results    []MapResult `json:"results"`
-}
-
-// mapRunner is the measurement seam; tests stub it to exercise the
-// sweep structure without running real passages.
-var mapRunner = mapRun
-
-// MapCost runs the three key-popularity modes on every native lock and
-// reports per-passage RMR distributions plus key-lifecycle accounting.
-func MapCost(o MapOpts) (*MapReport, error) {
+// MapCost runs the three key-popularity modes on every native lock at
+// o.Workers and reports per-passage RMR distributions plus key-lifecycle
+// accounting.
+func MapCost(o ReportOpts) (*Report, error) {
 	o.fill()
-	rep := &MapReport{
-		Schema:     "rme-bench-map/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Passages:   o.Passages,
-	}
+	rep := newReport("map", o.Passages)
 	for _, lk := range nativeLocks {
 		for _, mode := range []string{"hot", "zipf", "churn"} {
-			res, err := mapRunner(lk.opts, mode, o)
+			row, err := mapRow(lk.opts, mode, o)
 			if err != nil {
 				return nil, fmt.Errorf("bench: map %s mode=%s: %w", lk.name, mode, err)
 			}
-			res.Lock = lk.name
-			rep.Results = append(rep.Results, res)
+			row.Lock = lk.name
+			rep.Results = append(rep.Results, row)
 		}
 	}
 	return rep, nil
 }
 
-// mapRun completes the configured passages across the workers under one
-// key-popularity mode and returns the row: merged metrics plus the
-// map's lifecycle stats.
-func mapRun(lockOpts []rme.Option, mode string, o MapOpts) (MapResult, error) {
-	opts := append([]rme.Option(nil), lockOpts...)
-	opts = append(opts, rme.WithMetrics())
-	res := MapResult{Mode: mode, Workers: o.Workers}
-	passages := o.Passages
+// mapRow completes the mode's passages across the workers and returns
+// the row: merged metrics plus the map's lifecycle stats.
+func mapRow(lockOpts []rme.Option, mode string, o ReportOpts) (Row, error) {
+	var extra []rme.Option
+	keys, zipfS, passages := 1, 0.0, o.Passages
 	switch mode {
-	case "hot":
-		res.Keys = 1
 	case "zipf":
-		res.Keys = o.Keys
-		res.ZipfS = o.ZipfS
+		keys, zipfS = mapZipfKeys, mapZipfS
 	case "churn":
 		// One shard, few slots: every new key beyond the slot budget
 		// must evict and recycle an idle region.
-		opts = append(opts, rme.WithShards(1), rme.WithSegmentSlots(8))
-		res.Keys = o.ChurnKeys
-		passages = o.ChurnKeys
-	default:
-		return res, fmt.Errorf("unknown map mode %q", mode)
+		extra = append(extra, rme.WithShards(1), rme.WithSegmentSlots(8))
+		keys, passages = o.ChurnKeys, o.ChurnKeys
 	}
-	m, err := rme.NewMap(o.Workers, opts...)
+	m, err := rme.NewMap(o.Workers, withMetrics(lockOpts, extra...)...)
 	if err != nil {
-		return res, err
+		return Row{}, err
 	}
-	per := passages / o.Workers
-	if per < 1 {
-		per = 1
+	zipfs := make([]*rand.Zipf, o.Workers)
+	for pid := range zipfs {
+		rng := rand.New(rand.NewSource(int64(pid)*1099511628211 + 7))
+		zipfs[pid] = rand.NewZipf(rng, mapZipfS, 1, mapZipfKeys-1)
 	}
-	start := make(chan struct{})
-	done := make(chan struct{}, o.Workers)
-	for pid := 0; pid < o.Workers; pid++ {
-		go func(pid int) {
-			rng := rand.New(rand.NewSource(int64(pid)*1099511628211 + 7))
-			var zipf *rand.Zipf
-			if mode == "zipf" {
-				zipf = rand.NewZipf(rng, o.ZipfS, 1, uint64(o.Keys-1))
-			}
-			<-start
-			for i := 0; i < per; i++ {
-				var key string
-				switch mode {
-				case "hot":
-					key = "hot"
-				case "zipf":
-					key = "key-" + strconv.FormatUint(zipf.Uint64(), 10)
-				case "churn":
-					// Globally unique: lifecycle pressure on every passage.
-					key = "churn-" + strconv.Itoa(pid) + "-" + strconv.Itoa(i)
-				}
-				m.Lock(pid, key)
-				m.Unlock(pid, key)
-			}
-			done <- struct{}{}
-		}(pid)
-	}
-	close(start)
-	for i := 0; i < o.Workers; i++ {
-		<-done
-	}
+	drive(o.Workers, passages, func(pid, i int) {
+		key := "hot"
+		switch mode {
+		case "zipf":
+			key = "key-" + strconv.FormatUint(zipfs[pid].Uint64(), 10)
+		case "churn":
+			// Globally unique: lifecycle pressure on every passage.
+			key = "churn-" + strconv.Itoa(pid) + "-" + strconv.Itoa(i)
+		}
+		m.Lock(pid, key)
+		m.Unlock(pid, key)
+	})
 	s, _ := m.MetricsSnapshot()
 	st := m.Stats()
-	res.Attempts = s.Attempts
-	res.Passages = s.Passages
-	res.RMRMedian = s.RMRHist.Quantile(0.5)
-	res.RMRP99 = s.RMRHist.Quantile(0.99)
-	res.RMRMean = s.RMRHist.Mean()
-	res.DistinctKeys = int(st.Instantiated)
-	res.SlotWords = st.SlotWords
-	res.FootprintWords = st.FootprintWords
-	res.Segments = st.Segments
-	res.Instantiated = st.Instantiated
-	res.Recycled = st.Recycled
-	res.Evictions = st.Evictions
-	return res, nil
-}
-
-// Table renders the report as a bench table for the text mode.
-func (r *MapReport) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Keyed lock manager (exact CC RMRs, GOMAXPROCS=%d, num_cpu=%d)",
-			r.GOMAXPROCS, r.NumCPU),
-		Columns: []string{"lock", "mode", "workers", "keys", "zipf s", "passages", "rmr med", "rmr p99", "slot words", "footprint", "recycled", "evictions"},
-		Notes: []string{
-			"hot: all workers on one key — median anchored to the metrics experiment's F=0 row (within 2x)",
-			"churn: unique key per passage through 1 shard x 8 slots — footprint stays bounded, regions recycle",
-		},
-	}
-	for _, res := range r.Results {
-		t.Add(res.Lock, res.Mode, res.Workers, res.Keys, res.ZipfS, res.Passages,
-			res.RMRMedian, res.RMRP99, res.SlotWords, res.FootprintWords, res.Recycled, res.Evictions)
-	}
-	return t
-}
-
-// JSON serializes the report (the BENCH_map.json format).
-func (r *MapReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	row := condense(s)
+	row.Mode, row.Workers, row.Keys, row.ZipfS = mode, o.Workers, keys, zipfS
+	row.DistinctKeys = int(st.Instantiated)
+	row.SlotWords, row.FootprintWords, row.Segments = st.SlotWords, st.FootprintWords, st.Segments
+	row.Instantiated, row.Recycled, row.Evictions = st.Instantiated, st.Recycled, st.Evictions
+	return row, nil
 }

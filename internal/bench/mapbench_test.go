@@ -1,49 +1,34 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"rme"
 )
 
-// TestMapCostSweepShape drives the experiment through the stubbed runner
-// and checks the sweep structure: every native lock runs all three
-// key-popularity modes, in order.
+// TestMapCostSweepShape checks the sweep structure on tiny real runs:
+// every native lock runs all three key-popularity modes, in order.
 func TestMapCostSweepShape(t *testing.T) {
-	var modes []string
-	orig := mapRunner
-	mapRunner = func(lockOpts []rme.Option, mode string, o MapOpts) (MapResult, error) {
-		if o.Workers != 4 || o.Passages != 800 || o.Keys != 16 || o.ZipfS != 1.5 || o.ChurnKeys != 100 {
-			t.Fatalf("runner called with %+v", o)
-		}
-		modes = append(modes, mode)
-		return MapResult{Mode: mode, Workers: o.Workers, Attempts: 100, Passages: 100}, nil
-	}
-	defer func() { mapRunner = orig }()
-
-	rep, err := MapCost(MapOpts{Workers: 4, Passages: 800, Keys: 16, ZipfS: 1.5, ChurnKeys: 100})
+	rep, err := MapCost(ReportOpts{Workers: 4, Passages: 80, ChurnKeys: 40})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// 2 locks x 3 modes.
-	if len(modes) != 6 {
-		t.Fatalf("%d runner calls, want 6", len(modes))
-	}
-	for i, m := range modes {
-		if want := []string{"hot", "zipf", "churn"}[i%3]; m != want {
-			t.Fatalf("call %d ran mode %q, want %q", i, m, want)
-		}
 	}
 	if rep.Schema != "rme-bench-map/v1" {
 		t.Fatalf("schema %q", rep.Schema)
 	}
+	// 2 locks x 3 modes.
 	if len(rep.Results) != 6 {
 		t.Fatalf("%d results, want 6", len(rep.Results))
 	}
+	for i, r := range rep.Results {
+		if want := []string{"hot", "zipf", "churn"}[i%3]; r.Mode != want || r.Workers != 4 {
+			t.Fatalf("row %d ran mode %q workers %d, want %q workers 4", i, r.Mode, r.Workers, want)
+		}
+	}
 	if rep.Results[0].Lock != "ba-log" || rep.Results[3].Lock != "ba-sublog" {
 		t.Fatalf("lock labels wrong: %q %q", rep.Results[0].Lock, rep.Results[3].Lock)
+	}
+	if z := rep.Results[1]; z.Keys != mapZipfKeys || z.ZipfS != mapZipfS {
+		t.Fatalf("zipf row keys=%d s=%g", z.Keys, z.ZipfS)
 	}
 	if _, err := rep.JSON(); err != nil {
 		t.Fatal(err)
@@ -60,52 +45,39 @@ func TestMapRunReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real map measurement; skipped with -short")
 	}
-	o := MapOpts{Workers: 4, Passages: 200, Keys: 8, ZipfS: 1.1, ChurnKeys: 120}
-	hot, err := mapRun(nil, "hot", o)
+	o := ReportOpts{Workers: 4, Passages: 200, ChurnKeys: 120}
+	o.fill()
+	hot, err := mapRow(nil, "hot", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hot.Attempts != hot.Passages || hot.Passages < 200 {
+	if hot.Attempts != hot.Passages || hot.Passages != 200 {
 		t.Fatalf("hot: attempts=%d passages=%d", hot.Attempts, hot.Passages)
 	}
 	if hot.DistinctKeys != 1 || hot.RMRMedian < 1 {
 		t.Fatalf("hot: distinct=%d median=%d", hot.DistinctKeys, hot.RMRMedian)
 	}
 
-	churn, err := mapRun(nil, "churn", o)
+	churn, err := mapRow(nil, "churn", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if churn.Recycled == 0 || churn.Evictions == 0 {
 		t.Fatalf("churn never recycled: %+v", churn)
 	}
-	if churn.DistinctKeys < o.ChurnKeys {
-		t.Fatalf("churn touched %d keys, want >= %d", churn.DistinctKeys, o.ChurnKeys)
+	if churn.DistinctKeys != o.ChurnKeys {
+		t.Fatalf("churn touched %d keys, want %d", churn.DistinctKeys, o.ChurnKeys)
 	}
 	if churn.FootprintWords >= churn.DistinctKeys*churn.SlotWords {
 		t.Fatalf("churn footprint %d words unbounded (distinct keys would need %d)",
 			churn.FootprintWords, churn.DistinctKeys*churn.SlotWords)
 	}
 
-	zipf, err := mapRun(nil, "zipf", o)
+	zipf, err := mapRow(nil, "zipf", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zipf.Passages < 200 || zipf.DistinctKeys < 1 || zipf.DistinctKeys > o.Keys {
+	if zipf.Passages != 200 || zipf.DistinctKeys < 1 || zipf.DistinctKeys > mapZipfKeys {
 		t.Fatalf("zipf: %+v", zipf)
-	}
-
-	// The JSON document round-trips.
-	rep := &MapReport{Schema: "rme-bench-map/v1", Results: []MapResult{hot, churn, zipf}}
-	b, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back MapReport
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Results[1].Recycled != churn.Recycled {
-		t.Fatal("JSON round-trip lost the recycle count")
 	}
 }

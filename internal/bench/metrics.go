@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -19,119 +18,36 @@ import (
 // growing sublinearly, level histogram shifting upward). Failures are
 // the paper's unsafe placement — a crash immediately after a filter
 // lock's sensitive fetch-and-store — spread evenly through the run.
-// Results serialize as BENCH_metrics.json (rme-bench-metrics/v1) and are
-// what the CI metrics-gate job asserts against.
-
-// MetricsOpts configures the metrics experiment.
-type MetricsOpts struct {
-	// MaxWorkers caps the F=0 worker sweep 1, 2, 4, ... and is the fixed
-	// worker count of the failure sweep (default 8).
-	MaxWorkers int
-	// Passages is the total completed-passage target per measurement
-	// (default 5000).
-	Passages int
-	// Failures lists the injected failure budgets F of the failure sweep
-	// (default 1, 2, 4, 8, 16, 32; 0 is covered by the worker sweep).
-	Failures []int
-}
-
-func (o *MetricsOpts) fill() {
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = 8
-	}
-	if o.Passages <= 0 {
-		o.Passages = 5000
-	}
-	if o.Failures == nil {
-		o.Failures = []int{1, 2, 4, 8, 16, 32}
-	}
-}
-
-// MetricsResult is one measured configuration: a metrics snapshot
-// condensed to the fields the gate and the √F plot need.
-type MetricsResult struct {
-	Lock       string   `json:"lock"`     // "ba-log", "ba-sublog"
-	Workers    int      `json:"workers"`  // concurrent processes (= n)
-	Failures   int      `json:"failures"` // injected failure budget F
-	Passages   uint64   `json:"passages"` // completed passages measured
-	Crashes    uint64   `json:"crashes"`  // failures actually injected
-	Recoveries uint64   `json:"recoveries"`
-	RMRMedian  int      `json:"rmr_median"` // per-passage RMRs, CC model
-	RMRP99     int      `json:"rmr_p99"`
-	RMRMean    float64  `json:"rmr_mean"`
-	FastPath   uint64   `json:"fast_path"` // passages resolved at level 1
-	SlowPath   uint64   `json:"slow_path"`
-	MaxLevel   int      `json:"max_level"`  // deepest BA-Lock level reached
-	LevelHist  []uint64 `json:"level_hist"` // passages by deepest level (1-based)
-	FilterFAS  uint64   `json:"filter_fas"`
-	Tries      uint64   `json:"splitter_tries"`
-}
-
-// MetricsReport is the BENCH_metrics.json document.
-type MetricsReport struct {
-	Schema     string          `json:"schema"` // "rme-bench-metrics/v1"
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Passages   int             `json:"passages_per_measurement"`
-	Results    []MetricsResult `json:"results"`
-}
-
-// metricsRunner is the measurement seam; tests stub it to exercise the
-// sweep structure without running real passages.
-var metricsRunner = metricsRun
+// Results serialize as BENCH_metrics.json (rme-bench-metrics/v1), which
+// Check gates.
 
 // PassageMetrics sweeps worker counts at F=0 and failure budgets at
-// MaxWorkers, and reports exact CC-model RMR and level distributions.
-func PassageMetrics(o MetricsOpts) (*MetricsReport, error) {
+// o.Workers, and reports exact CC-model RMR and level distributions.
+func PassageMetrics(o ReportOpts) (*Report, error) {
 	o.fill()
-	rep := &MetricsReport{
-		Schema:     "rme-bench-metrics/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Passages:   o.Passages,
+	// The failure-free worker sweep (median RMR flat in n), then the
+	// failure sweep at full contention (median growing sublinearly in F,
+	// the √F adaptivity bound).
+	type point struct{ workers, failures int }
+	var points []point
+	for workers := 1; workers <= o.Workers; workers *= 2 {
+		points = append(points, point{workers, 0})
 	}
+	for _, f := range o.Failures {
+		points = append(points, point{o.Workers, f})
+	}
+	rep := newReport("metrics", o.Passages)
 	for _, lk := range nativeLocks {
-		// Failure-free worker sweep: median RMR should stay flat in n.
-		for workers := 1; workers <= o.MaxWorkers; workers *= 2 {
-			s, err := metricsRunner(lk.opts, workers, o.Passages, 0)
+		for _, pt := range points {
+			row, err := metricsRow(lk.opts, pt.workers, o.Passages, pt.failures)
 			if err != nil {
-				return nil, fmt.Errorf("bench: metrics %s workers=%d F=0: %w", lk.name, workers, err)
+				return nil, fmt.Errorf("bench: metrics %s workers=%d F=%d: %w", lk.name, pt.workers, pt.failures, err)
 			}
-			rep.Results = append(rep.Results, metricsResult(lk.name, workers, 0, s))
-		}
-		// Failure sweep at full contention: median RMR should grow
-		// sublinearly in F (the √F adaptivity bound).
-		for _, f := range o.Failures {
-			s, err := metricsRunner(lk.opts, o.MaxWorkers, o.Passages, f)
-			if err != nil {
-				return nil, fmt.Errorf("bench: metrics %s workers=%d F=%d: %w", lk.name, o.MaxWorkers, f, err)
-			}
-			rep.Results = append(rep.Results, metricsResult(lk.name, o.MaxWorkers, f, s))
+			row.Lock = lk.name
+			rep.Results = append(rep.Results, row)
 		}
 	}
 	return rep, nil
-}
-
-func metricsResult(lock string, workers, failures int, s metrics.Snapshot) MetricsResult {
-	return MetricsResult{
-		Lock:       lock,
-		Workers:    workers,
-		Failures:   failures,
-		Passages:   s.Passages,
-		Crashes:    s.Crashes,
-		Recoveries: s.Recoveries,
-		RMRMedian:  s.RMRHist.Quantile(0.5),
-		RMRP99:     s.RMRHist.Quantile(0.99),
-		RMRMean:    s.RMRHist.Mean(),
-		FastPath:   s.FastPath,
-		SlowPath:   s.SlowPath,
-		MaxLevel:   s.MaxLevel(),
-		LevelHist:  s.LevelHist,
-		FilterFAS:  s.FilterFAS,
-		Tries:      s.SplitterTries,
-	}
 }
 
 // unsafeInjector places exactly `budget` crashes at the paper's unsafe
@@ -190,71 +106,35 @@ func (inj *unsafeInjector) hook(pid int, label string) bool {
 	}
 }
 
-// metricsRun completes `passages` total passages split across `workers`
-// processes on one metrics-enabled mutex, injecting `failures` unsafe
-// crashes along the way, and returns the final snapshot.
-func metricsRun(lockOpts []rme.Option, workers, passages, failures int) (metrics.Snapshot, error) {
-	opts := append([]rme.Option(nil), lockOpts...)
-	opts = append(opts, rme.WithMetrics())
+// metricsRow completes passages passages split across workers processes
+// on one metrics-enabled mutex, injecting failures unsafe crashes along
+// the way, and condenses the final snapshot.
+func metricsRow(lockOpts []rme.Option, workers, passages, failures int) (Row, error) {
+	if failures < 0 {
+		return Row{}, errors.New("negative failure budget")
+	}
 	inj := newUnsafeInjector(workers, failures, passages)
+	var extra []rme.Option
 	if failures > 0 {
-		opts = append(opts, rme.WithLabeledFailures(inj.hook))
+		extra = append(extra, rme.WithLabeledFailures(inj.hook))
 	}
-	m, err := rme.New(workers, opts...)
+	m, err := rme.New(workers, withMetrics(lockOpts, extra...)...)
 	if err != nil {
-		return metrics.Snapshot{}, err
+		return Row{}, err
 	}
-	per := passages / workers
-	if per < 1 {
-		per = 1
-	}
-	start := make(chan struct{})
-	done := make(chan struct{}, workers)
-	for pid := 0; pid < workers; pid++ {
-		go func(pid int) {
-			<-start
-			for i := 0; i < per; i++ {
-				for !m.Passage(pid, func() {}) {
-					// Crashed. A real failed process stays down for a
-					// while before restarting; without this gap the
-					// recovering process races ahead and repairs the
-					// broken filter state before any other process can
-					// run into it, and the adaptivity machinery never
-					// engages. The sleep yields the CPU so the survivors
-					// actually execute during the outage.
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			done <- struct{}{}
-		}(pid)
-	}
-	close(start)
-	for i := 0; i < workers; i++ {
-		<-done
-	}
+	drive(workers, passages, func(pid, _ int) {
+		for !m.Passage(pid, func() {}) {
+			// Crashed. A real failed process stays down for a while
+			// before restarting; without this gap the recovering process
+			// races ahead and repairs the broken filter state before any
+			// other process can run into it, and the adaptivity machinery
+			// never engages. The sleep yields the CPU so the survivors
+			// actually execute during the outage.
+			time.Sleep(200 * time.Microsecond)
+		}
+	})
 	s, _ := m.MetricsSnapshot()
-	return s, nil
-}
-
-// Table renders the report as a bench table for the text mode.
-func (r *MetricsReport) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Passage metrics (exact CC RMRs, GOMAXPROCS=%d, num_cpu=%d)",
-			r.GOMAXPROCS, r.NumCPU),
-		Columns: []string{"lock", "workers", "F", "passages", "crashes", "rmr med", "rmr p99", "fast", "slow", "max lvl"},
-		Notes: []string{
-			"F: unsafe failures (crash immediately after a sensitive filter FAS) spread through the run",
-			"expect: median flat in workers at F=0; growing sublinearly in F (the √F adaptivity bound)",
-		},
-	}
-	for _, res := range r.Results {
-		t.Add(res.Lock, res.Workers, res.Failures, res.Passages, res.Crashes,
-			res.RMRMedian, res.RMRP99, res.FastPath, res.SlowPath, res.MaxLevel)
-	}
-	return t
-}
-
-// JSON serializes the report (the BENCH_metrics.json format).
-func (r *MetricsReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	row := condense(s)
+	row.Workers, row.Failures = workers, failures
+	return row, nil
 }

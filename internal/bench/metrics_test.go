@@ -2,110 +2,32 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
-	"time"
-
-	"rme"
-	"rme/internal/metrics"
 )
 
-// TestNativeWarmupPerLayout pins the warmup discipline through the
-// stubbed runner: each layout gets its own discarded warmup (reduced
-// passage count) before any timed rep of either layout, and the timed
-// reps then interleave A/B. A shared warmup would bias whichever layout
-// ran its first timed rep cold.
-func TestNativeWarmupPerLayout(t *testing.T) {
-	type call struct {
-		layout   string
-		passages int
-	}
-	var calls []call
-	orig := nativeRunner
-	nativeRunner = func(layout string, workers, passages int, opts []rme.Option) (time.Duration, error) {
-		calls = append(calls, call{layout, passages})
-		return time.Millisecond, nil
-	}
-	defer func() { nativeRunner = orig }()
-
-	const passages, reps = 400, 3
-	if _, err := Native(NativeOpts{MaxWorkers: 1, Passages: passages, Reps: reps}); err != nil {
-		t.Fatal(err)
-	}
-
-	// 2 locks × 1 worker count × (2 warmups + 2 layouts × reps).
-	perConfig := 2 + 2*reps
-	if len(calls) != 2*perConfig {
-		t.Fatalf("%d runner calls, want %d", len(calls), 2*perConfig)
-	}
-	for lock := 0; lock < 2; lock++ {
-		seq := calls[lock*perConfig : (lock+1)*perConfig]
-		// The first two calls are the warmups, one per layout, at
-		// reduced scale.
-		warmed := map[string]bool{}
-		for _, c := range seq[:2] {
-			if c.passages != passages/4 {
-				t.Fatalf("warmup ran %d passages, want %d", c.passages, passages/4)
-			}
-			warmed[c.layout] = true
-		}
-		if !warmed["padded"] || !warmed["unpadded"] {
-			t.Fatalf("warmups covered %v, want both layouts", warmed)
-		}
-		// Every timed rep runs at full scale, interleaved A/B.
-		for i, c := range seq[2:] {
-			if c.passages != passages {
-				t.Fatalf("timed rep %d ran %d passages, want %d", i, c.passages, passages)
-			}
-			want := []string{"padded", "unpadded"}[i%2]
-			if c.layout != want {
-				t.Fatalf("timed rep %d measured %s, want %s (A/B interleaving)", i, c.layout, want)
-			}
-		}
-	}
-}
-
-// TestPassageMetricsSweepShape drives the experiment through the stubbed
-// runner and checks the sweep structure: a worker sweep at F=0 and a
-// failure sweep at MaxWorkers, for each lock.
+// TestPassageMetricsSweepShape checks the sweep structure on tiny real
+// runs: a worker sweep at F=0 and a failure sweep at Workers, for each
+// lock, every row completing exactly the passage target.
 func TestPassageMetricsSweepShape(t *testing.T) {
-	type call struct {
-		workers  int
-		failures int
-	}
-	var calls []call
-	orig := metricsRunner
-	metricsRunner = func(lockOpts []rme.Option, workers, passages, failures int) (metrics.Snapshot, error) {
-		calls = append(calls, call{workers, failures})
-		return metrics.Snapshot{
-			Passages:  uint64(passages),
-			FastPath:  uint64(passages),
-			LevelHist: []uint64{uint64(passages)},
-			RMRHist:   metrics.Hist{Counts: []uint64{0, 0, 0, uint64(passages)}},
-		}, nil
-	}
-	defer func() { metricsRunner = orig }()
-
-	rep, err := PassageMetrics(MetricsOpts{MaxWorkers: 4, Passages: 100, Failures: []int{2, 8}})
+	rep, err := PassageMetrics(ReportOpts{Workers: 4, Passages: 100, Failures: []int{2, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Per lock: workers {1,2,4} at F=0, then F {2,8} at workers=4.
-	want := []call{{1, 0}, {2, 0}, {4, 0}, {4, 2}, {4, 8}}
-	if len(calls) != 2*len(want) {
-		t.Fatalf("%d runner calls, want %d", len(calls), 2*len(want))
-	}
-	for i, c := range calls {
-		if c != want[i%len(want)] {
-			t.Fatalf("call %d = %+v, want %+v", i, c, want[i%len(want)])
-		}
-	}
+	type point struct{ workers, failures int }
+	want := []point{{1, 0}, {2, 0}, {4, 0}, {4, 2}, {4, 8}}
 	if len(rep.Results) != 2*len(want) {
 		t.Fatalf("%d results, want %d", len(rep.Results), 2*len(want))
 	}
-	for _, r := range rep.Results {
-		if r.RMRMedian != 3 || r.MaxLevel != 1 || r.Passages != 100 {
+	for i, r := range rep.Results {
+		if got := (point{r.Workers, r.Failures}); got != want[i%len(want)] {
+			t.Fatalf("row %d = %+v, want %+v", i, got, want[i%len(want)])
+		}
+		if lock := nativeLocks[i/len(want)].name; r.Lock != lock {
+			t.Fatalf("row %d lock %q, want %q", i, r.Lock, lock)
+		}
+		if r.Passages != 100 || r.RMRMedian <= 0 {
 			t.Fatalf("snapshot condensation wrong: %+v", r)
 		}
 	}
@@ -113,23 +35,18 @@ func TestPassageMetricsSweepShape(t *testing.T) {
 
 // TestPassageMetricsRunnerError pins the error path's context string.
 func TestPassageMetricsRunnerError(t *testing.T) {
-	orig := metricsRunner
-	metricsRunner = func(lockOpts []rme.Option, workers, passages, failures int) (metrics.Snapshot, error) {
-		return metrics.Snapshot{}, fmt.Errorf("boom")
-	}
-	defer func() { metricsRunner = orig }()
-	_, err := PassageMetrics(MetricsOpts{MaxWorkers: 1, Passages: 10})
-	if err == nil || !strings.Contains(err.Error(), "metrics ba-log workers=1 F=0") {
+	_, err := PassageMetrics(ReportOpts{Workers: 1, Passages: 10, Failures: []int{-1}})
+	if err == nil || !strings.Contains(err.Error(), "metrics ba-log workers=1 F=-1") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestPassageMetricsSmoke runs the real experiment at miniature scale:
 // schema validity, exact passage accounting, exact injected failure
-// counts, and the failure-free invariants the CI gate asserts at full
-// scale (bounded median RMR, no escalation above level 1 at F=0).
+// counts, and the failure-free invariants the gates assert at full scale
+// (bounded median RMR, no escalation above level 1 at F=0).
 func TestPassageMetricsSmoke(t *testing.T) {
-	rep, err := PassageMetrics(MetricsOpts{MaxWorkers: 2, Passages: 200, Failures: []int{4}})
+	rep, err := PassageMetrics(ReportOpts{Workers: 2, Passages: 200, Failures: []int{4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +72,9 @@ func TestPassageMetricsSmoke(t *testing.T) {
 				t.Fatalf("%s w=%d: failure-free median RMR %d outside sanity bounds", r.Lock, r.Workers, r.RMRMedian)
 			}
 		}
+		if r.Workers == 1 && r.Failures == 0 && r.RMRMedian != soloRMRs {
+			t.Fatalf("%s: uncontended median %d RMRs, want exactly %d", r.Lock, r.RMRMedian, soloRMRs)
+		}
 		if r.FastPath+r.SlowPath != r.Passages {
 			t.Fatalf("fast %d + slow %d != passages %d", r.FastPath, r.SlowPath, r.Passages)
 		}
@@ -170,7 +90,7 @@ func TestPassageMetricsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc MetricsReport
+	var doc Report
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("report JSON invalid: %v", err)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -17,122 +16,80 @@ import (
 // site), and "on" (full recording into the per-process rings). Reps are
 // interleaved across the modes so machine-state drift hits all three
 // equally, and the median rep is kept. Results serialize as
-// BENCH_tracing.json (rme-bench-tracing/v1); the CI tracing-gate job
-// asserts the recorder-off median overhead stays ≤ 5%.
-
-// TracingOpts configures the tracing-overhead experiment.
-type TracingOpts struct {
-	// MaxWorkers caps the worker sweep 1, 2, 4, ... (default 8).
-	MaxWorkers int
-	// Passages is the total passage count per measurement (default 20000).
-	Passages int
-	// Reps repeats each measurement, keeping the median (default 5) —
-	// overhead deltas in the few-percent range need a robust statistic,
-	// not the best case.
-	Reps int
-}
-
-func (o *TracingOpts) fill() {
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = 8
-	}
-	if o.Passages <= 0 {
-		o.Passages = 20000
-	}
-	if o.Reps <= 0 {
-		o.Reps = 5
-	}
-}
-
-// TracingResult is one measured configuration.
-type TracingResult struct {
-	Mode           string  `json:"mode"`    // "none", "off", "on"
-	Workers        int     `json:"workers"` // concurrent processes
-	Passages       int     `json:"passages"`
-	NsPerPassage   float64 `json:"ns_per_passage"` // median over reps
-	PassagesPerSec float64 `json:"passages_per_sec"`
-	// OverheadPct is the median-latency delta vs the "none" baseline at
-	// the same worker count, in percent; 0 for the baseline itself.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// TracingReport is the BENCH_tracing.json document.
-type TracingReport struct {
-	Schema     string          `json:"schema"` // "rme-bench-tracing/v1"
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Passages   int             `json:"passages_per_measurement"`
-	Reps       int             `json:"reps"`
-	Results    []TracingResult `json:"results"`
-}
+// BENCH_tracing.json (rme-bench-tracing/v1); Check bounds the median
+// recorder-off overhead at 5%.
 
 // tracingModes orders the three recorder tiers; the order is also the
 // within-rep interleaving order.
 var tracingModes = []string{"none", "off", "on"}
 
-func tracingModeOpts(mode string) []rme.Option {
-	switch mode {
-	case "off":
-		return []rme.Option{rme.WithTracing(rme.TracingOptions{Disabled: true})}
-	case "on":
-		return []rme.Option{rme.WithTracing(rme.TracingOptions{})}
-	default:
-		return nil
-	}
-}
-
 // Tracing sweeps worker counts over the three recorder tiers and reports
 // median wall-clock passage latency with the overhead vs no recorder.
-func Tracing(o TracingOpts) (*TracingReport, error) {
-	o.fill()
-	rep := &TracingReport{
-		Schema:     "rme-bench-tracing/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Passages:   o.Passages,
-		Reps:       o.Reps,
+func Tracing(o ReportOpts) (*Report, error) {
+	return tracing(o, timePassages)
+}
+
+// timePassages times passages Lock/Unlock pairs split across workers on
+// a fresh mutex carrying mode's recorder tier.
+func timePassages(mode string, workers, passages int) (time.Duration, error) {
+	var opts []rme.Option
+	switch mode {
+	case "off":
+		opts = append(opts, rme.WithTracing(rme.TracingOptions{Disabled: true}))
+	case "on":
+		opts = append(opts, rme.WithTracing(rme.TracingOptions{}))
 	}
-	for workers := 1; workers <= o.MaxWorkers; workers *= 2 {
-		// Discarded warmup per mode, then interleaved timed reps — the
-		// same drift-defeating protocol as the native layout benchmark.
-		warm := o.Passages / 4
-		if warm < 1 {
-			warm = 1
+	m, err := rme.New(workers, opts...)
+	if err != nil {
+		return 0, err
+	}
+	return drive(workers, passages, func(pid, _ int) {
+		m.Lock(pid)
+		m.Unlock(pid)
+	}), nil
+}
+
+// tracing runs the protocol over measure: per worker count, a discarded
+// warmup per mode, then interleaved timed reps.
+func tracing(o ReportOpts, measure func(mode string, workers, passages int) (time.Duration, error)) (*Report, error) {
+	o.fill()
+	rep := newReport("tracing", o.TimedPassages)
+	rep.Reps = o.Reps
+	run := func(mode string, workers, passages int) (time.Duration, error) {
+		runtime.GC() // keep collector pauses out of the timed region
+		d, err := measure(mode, workers, passages)
+		if err != nil {
+			err = fmt.Errorf("bench: tracing %s workers=%d: %w", mode, workers, err)
 		}
+		return d, err
+	}
+	for workers := 1; workers <= o.Workers; workers *= 2 {
 		for _, mode := range tracingModes {
-			runtime.GC()
-			if _, err := tracingRunner(mode, workers, warm, tracingModeOpts(mode)); err != nil {
-				return nil, fmt.Errorf("bench: tracing %s workers=%d: %w", mode, workers, err)
+			if _, err := run(mode, workers, max(o.TimedPassages/4, 1)); err != nil {
+				return nil, err
 			}
 		}
 		samples := map[string][]time.Duration{}
 		for r := 0; r < o.Reps; r++ {
 			for _, mode := range tracingModes {
-				runtime.GC()
-				d, err := tracingRunner(mode, workers, o.Passages, tracingModeOpts(mode))
+				d, err := run(mode, workers, o.TimedPassages)
 				if err != nil {
-					return nil, fmt.Errorf("bench: tracing %s workers=%d: %w", mode, workers, err)
+					return nil, err
 				}
 				samples[mode] = append(samples[mode], d)
 			}
 		}
-		med := map[string]float64{}
+		base := medianNs(samples["none"]) / float64(o.TimedPassages)
 		for _, mode := range tracingModes {
-			med[mode] = medianNs(samples[mode]) / float64(o.Passages)
-		}
-		base := med["none"]
-		for _, mode := range tracingModes {
-			ns := med[mode]
+			ns := medianNs(samples[mode]) / float64(o.TimedPassages)
 			overhead := 0.0
 			if mode != "none" && base > 0 {
 				overhead = (ns - base) / base * 100
 			}
-			rep.Results = append(rep.Results, TracingResult{
+			rep.Results = append(rep.Results, Row{
 				Mode:           mode,
 				Workers:        workers,
-				Passages:       o.Passages,
+				Passages:       uint64(o.TimedPassages),
 				NsPerPassage:   ns,
 				PassagesPerSec: 1e9 / ns,
 				OverheadPct:    overhead,
@@ -155,34 +112,4 @@ func medianNs(ds []time.Duration) float64 {
 		return float64(s[mid].Nanoseconds())
 	}
 	return float64(s[mid-1].Nanoseconds()+s[mid].Nanoseconds()) / 2
-}
-
-// tracingRunner is the measurement seam: tests stub it to verify the
-// interleaving protocol and the statistics without running real passages.
-var tracingRunner = func(mode string, workers, passages int, opts []rme.Option) (time.Duration, error) {
-	return nativeRun(workers, passages, opts)
-}
-
-// Table renders the report as a bench table for the text mode.
-func (r *TracingReport) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Flight-recorder overhead (wall clock, GOMAXPROCS=%d, num_cpu=%d, median of %d)",
-			r.GOMAXPROCS, r.NumCPU, r.Reps),
-		Columns: []string{"mode", "workers", "ns/passage", "passages/sec", "overhead %"},
-		Notes: []string{
-			"none: no recorder configured; off: recorder present but disabled; on: full recording",
-			"overhead is vs the none baseline at the same worker count; the CI gate bounds off at 5%",
-		},
-	}
-	for _, res := range r.Results {
-		t.Add(res.Mode, res.Workers,
-			fmt.Sprintf("%.0f", res.NsPerPassage), fmt.Sprintf("%.0f", res.PassagesPerSec),
-			fmt.Sprintf("%+.2f", res.OverheadPct))
-	}
-	return t
-}
-
-// JSON serializes the report (the BENCH_tracing.json format).
-func (r *TracingReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"rme"
 )
 
 // TestTracingProtocolAndStats drives the experiment through the stubbed
@@ -22,8 +20,7 @@ func TestTracingProtocolAndStats(t *testing.T) {
 	// the median must shrug it off.
 	perPassage := map[string]time.Duration{"none": 1000, "off": 1020, "on": 1500}
 	reps := map[string]int{}
-	orig := tracingRunner
-	tracingRunner = func(mode string, workers, passages int, opts []rme.Option) (time.Duration, error) {
+	stub := func(mode string, workers, passages int) (time.Duration, error) {
 		calls = append(calls, call{mode, passages})
 		d := perPassage[mode] * time.Duration(passages)
 		if passages == 400 { // timed rep, not warmup
@@ -34,9 +31,8 @@ func TestTracingProtocolAndStats(t *testing.T) {
 		}
 		return d, nil
 	}
-	defer func() { tracingRunner = orig }()
 
-	rep, err := Tracing(TracingOpts{MaxWorkers: 1, Passages: 400, Reps: 3})
+	rep, err := tracing(ReportOpts{Workers: 1, TimedPassages: 400, Reps: 3}, stub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +56,7 @@ func TestTracingProtocolAndStats(t *testing.T) {
 	if len(rep.Results) != 3 {
 		t.Fatalf("%d results, want 3", len(rep.Results))
 	}
-	byMode := map[string]TracingResult{}
+	byMode := map[string]Row{}
 	for _, r := range rep.Results {
 		byMode[r.Mode] = r
 	}
@@ -85,9 +81,9 @@ func TestTracingProtocolAndStats(t *testing.T) {
 // TestTracingSmoke runs the experiment for real at miniature scale: shape,
 // JSON validity, and positive throughput. Overhead magnitudes are NOT
 // asserted — at this scale the numbers are noise; BENCH_tracing.json
-// records a real run and the CI gate bounds it.
+// records a real run and Check bounds it.
 func TestTracingSmoke(t *testing.T) {
-	rep, err := Tracing(TracingOpts{MaxWorkers: 2, Passages: 64, Reps: 1})
+	rep, err := Tracing(ReportOpts{Workers: 2, TimedPassages: 64, Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +106,7 @@ func TestTracingSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc TracingReport
+	var doc Report
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("report JSON invalid: %v", err)
 	}

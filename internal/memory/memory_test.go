@@ -382,19 +382,14 @@ func TestNativeArenaBasics(t *testing.T) {
 }
 
 func TestNativeArenaExhaustion(t *testing.T) {
-	// Legacy layout: capacity is exact, word for word.
-	a := NewNativeArena(1, 4, Unpadded())
-	a.Alloc(3, HomeNone)
-	mustPanic(t, "exhaustion", func() { a.Alloc(2, HomeNone) })
+	// Capacity rounds up to whole cache lines, line 0 is reserved, and
+	// exhaustion panics rather than overlapping.
+	a := NewNativeArena(1, 4)
+	a.Alloc(LineWords, HomeNone) // consumes the one allocatable line
+	mustPanic(t, "exhaustion", func() { a.Alloc(1, HomeNone) })
 	mustPanic(t, "zero alloc", func() { a.Alloc(0, HomeNone) })
 	mustPanic(t, "bad pid", func() { a.Port(1, nil) })
 	mustPanic(t, "bad n", func() { NewNativeArena(0, 4) })
-
-	// Padded layout: capacity rounds up to whole cache lines, line 0 is
-	// reserved, and exhaustion still panics rather than overlapping.
-	p := NewNativeArena(1, 2*LineWords)
-	p.Alloc(LineWords, HomeNone) // consumes the one allocatable line
-	mustPanic(t, "padded exhaustion", func() { p.Alloc(1, HomeNone) })
 }
 
 func TestNativeFailPoint(t *testing.T) {

@@ -34,11 +34,6 @@ const LineWords = 8
 //     single line counter, so Alloc is not one contended word counter.
 //   - Word 0 is the reserved null word; its entire line is left unused.
 //
-// The Unpadded option selects the pre-optimization dense layout (single
-// bump allocator, home ignored, per-instruction bounds check against the
-// shared counter) so benchmarks can measure the padded layout's win
-// instead of asserting it.
-//
 // RMR accounting is not available on this backend (real cache behaviour is
 // up to the hardware) — use Arena for RMR experiments.
 type NativeArena struct {
@@ -55,17 +50,13 @@ type NativeArena struct {
 // real arena uses.
 type nativeAlloc struct {
 	n      int
-	padded bool
 	region bool  // a sub-arena region: exhaustion blames the region, not the arena
 	limit  int64 // physical capacity in words; 0 = unbounded (sizer)
 
-	// Padded layout: whole cache lines are handed out by nextLine, then
-	// sub-allocated per home stripe.
+	// Whole cache lines are handed out by nextLine, then sub-allocated
+	// per home stripe.
 	nextLine atomic.Int64
 	stripes  []stripe
-
-	// Unpadded legacy layout: a single bump pointer.
-	next atomic.Int64
 }
 
 // stripe is one home region's private bump allocator. Padded to a cache
@@ -77,57 +68,31 @@ type stripe struct {
 	_        [5]uint64
 }
 
-// NativeOption configures NewNativeArena.
-type NativeOption func(*nativeAlloc)
-
-// Unpadded selects the legacy dense layout: one contiguous word array, a
-// single shared bump allocator, the home hint ignored, and the bounds
-// check re-read from the shared counter on every instruction. It exists so
-// benchmarks can compare the cache-line-aware layout against the layout
-// this repository used before it (see BENCH_native.json); production
-// callers want the default.
-func Unpadded() NativeOption { return func(al *nativeAlloc) { al.padded = false } }
-
 // NewNativeArena returns a native arena for n processes with capacity for
-// the given number of physical words. Word 0 is reserved as null. Under
-// the default padded layout the capacity is rounded up to whole cache
-// lines (minimum two: the null line plus one allocatable line), and
-// allocations consume whole lines per the layout rules above — size
-// arenas with NewNativeSizer, or via rme.WithCapacity at the API level.
-func NewNativeArena(n, capacity int, opts ...NativeOption) *NativeArena {
+// the given number of physical words. Word 0 is reserved as null. The
+// capacity is rounded up to whole cache lines (minimum two: the null line
+// plus one allocatable line), and allocations consume whole lines per the
+// layout rules above — size arenas with NewNativeSizer, or via
+// rme.WithCapacity at the API level.
+func NewNativeArena(n, capacity int) *NativeArena {
 	if n <= 0 {
 		panic(fmt.Sprintf("memory: invalid process count %d", n))
 	}
-	if capacity < 1 {
-		capacity = 1
-	}
 	a := &NativeArena{}
-	a.initAlloc(n, opts...)
-	if a.padded {
-		lines := (int64(capacity) + LineWords - 1) / LineWords
-		if lines < 2 {
-			lines = 2
-		}
-		a.limit = lines * LineWords
-	} else {
-		a.limit = int64(capacity)
+	a.initAlloc(n)
+	lines := (int64(capacity) + LineWords - 1) / LineWords
+	if lines < 2 {
+		lines = 2
 	}
+	a.limit = lines * LineWords
 	a.words = make([]atomic.Uint64, a.limit)
 	return a
 }
 
-func (al *nativeAlloc) initAlloc(n int, opts ...NativeOption) {
+func (al *nativeAlloc) initAlloc(n int) {
 	al.n = n
-	al.padded = true
-	for _, o := range opts {
-		o(al)
-	}
-	if al.padded {
-		al.nextLine.Store(1) // line 0 holds the reserved null word
-		al.stripes = make([]stripe, n)
-	} else {
-		al.next.Store(1) // reserve null
-	}
+	al.nextLine.Store(1) // line 0 holds the reserved null word
+	al.stripes = make([]stripe, n)
 }
 
 // grabLines reserves k whole cache lines and returns the word address of
@@ -157,13 +122,6 @@ func (al *nativeAlloc) alloc(nwords, home int) Addr {
 	if home != HomeNone && (home < 0 || home >= al.n) {
 		panic(fmt.Sprintf("memory: Alloc home %d out of range [0,%d)", home, al.n))
 	}
-	if !al.padded {
-		base := al.next.Add(int64(nwords)) - int64(nwords)
-		if al.limit > 0 && base+int64(nwords) > al.limit {
-			panic(fmt.Sprintf("memory: native arena exhausted (capacity %d words); size it with rme.WithCapacity", al.limit))
-		}
-		return Addr(base)
-	}
 	lines := (int64(nwords) + LineWords - 1) / LineWords
 	if home == HomeNone {
 		// Truly shared words get exclusive lines: no two HomeNone
@@ -186,26 +144,18 @@ func (al *nativeAlloc) alloc(nwords, home int) Addr {
 // bound returns the first invalid word address: everything below it is
 // allocated (or padding within an allocated line) and safely addressable.
 func (al *nativeAlloc) bound() int64 {
-	if !al.padded {
-		return al.next.Load()
-	}
 	return al.nextLine.Load() * LineWords
 }
 
 // N returns the number of processes.
 func (a *NativeArena) N() int { return a.n }
 
-// Padded reports whether the arena uses the cache-line-aware layout.
-func (a *NativeArena) Padded() bool { return a.padded }
-
-// Alloc implements Space. Under the padded layout home selects the owning
-// process's stripe (HomeNone words get exclusive cache lines); under the
-// legacy Unpadded layout it is accepted and ignored.
+// Alloc implements Space. home selects the owning process's stripe
+// (HomeNone words get exclusive cache lines).
 func (a *NativeArena) Alloc(nwords int, home int) Addr { return a.alloc(nwords, home) }
 
 // Size returns the arena's physical footprint in words: everything handed
-// out so far, including the reserved null line and cache-line padding
-// under the default layout.
+// out so far, including the reserved null line and cache-line padding.
 func (a *NativeArena) Size() int { return int(a.bound()) }
 
 // Capacity returns the arena's fixed physical capacity in words — the
@@ -226,18 +176,17 @@ type NativeSizer struct {
 	nativeAlloc
 }
 
-// NewNativeSizer returns a sizer for n processes. padded selects the
-// layout to measure (matching the arena the result will size).
+// NewNativeSizer returns a sizer for n processes. padded must be true:
+// the cache-line-aware layout is the only one NativeArena has.
 func NewNativeSizer(n int, padded bool) *NativeSizer {
 	if n <= 0 {
 		panic(fmt.Sprintf("memory: invalid process count %d", n))
 	}
-	s := &NativeSizer{}
-	var opts []NativeOption
 	if !padded {
-		opts = append(opts, Unpadded())
+		panic("memory: NativeSizer measures only the padded layout")
 	}
-	s.initAlloc(n, opts...)
+	s := &NativeSizer{}
+	s.initAlloc(n)
 	return s
 }
 
@@ -306,8 +255,7 @@ type NativePort struct {
 	// bound caches the arena's allocation bound so the hot path validates
 	// addresses with a register compare instead of re-reading the shared
 	// counter on every instruction; refreshed on miss (the arena only
-	// grows). Meaningful only under the padded layout — the legacy layout
-	// keeps its original per-instruction load for faithful A/B numbers.
+	// grows).
 	bound int64
 	// spin is the Pause backoff ladder position.
 	spin uint8
@@ -356,15 +304,12 @@ const pauseSpinMax = 6
 func pauseCanSpin() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // Pause implements Port: bounded spin-then-yield exponential backoff on
-// multicore, a plain yield on a uniprocessor. Under the legacy Unpadded
-// layout it yields unconditionally — the pre-optimization backend's
-// behaviour — so the padded/unpadded benchmark compares the complete old
-// and new execution paths.
+// multicore, a plain yield on a uniprocessor.
 func (p *NativePort) Pause() {
 	if p.abort != nil && p.abort(p.pid) {
 		panic(ErrAbort{PID: p.pid})
 	}
-	if !p.arena.padded || !pauseCanSpin() {
+	if !pauseCanSpin() {
 		runtime.Gosched()
 		return
 	}
@@ -380,16 +325,8 @@ func (p *NativePort) Pause() {
 }
 
 func (p *NativePort) step(k OpKind, addr Addr) {
-	if p.arena.padded {
-		if addr == Nil || int64(addr) >= p.bound {
-			p.refreshBound(addr)
-		}
-	} else {
-		// Legacy layout: validate against the shared counter every time,
-		// exactly as the pre-optimization backend did.
-		if addr == Nil || int64(addr) >= p.arena.next.Load() {
-			panic(fmt.Sprintf("memory: access to invalid address %d", addr))
-		}
+	if addr == Nil || int64(addr) >= p.bound {
+		p.refreshBound(addr)
 	}
 	label := p.label
 	p.label = ""
@@ -447,10 +384,9 @@ func (p *NativePort) CAS(a Addr, old, new Word) bool {
 var ErrTornSnapshot = errors.New("memory: arena mutated during snapshot (quiescence violated)")
 
 // Words returns an atomic-per-word copy of the arena's physical contents
-// (index 0 is the reserved null word; under the padded layout the copy
-// includes cache-line padding holes). It does not detect concurrent
-// writers — debug use only; snapshots that may be restored must use
-// SnapshotWords.
+// (index 0 is the reserved null word; the copy includes cache-line
+// padding holes). It does not detect concurrent writers — debug use only;
+// snapshots that may be restored must use SnapshotWords.
 func (a *NativeArena) Words() []Word {
 	size := a.bound()
 	out := make([]Word, size)

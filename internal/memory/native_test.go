@@ -81,56 +81,33 @@ func TestNativeHomeValidation(t *testing.T) {
 	a := NewNativeArena(2, 8*LineWords)
 	mustPanic(t, "home too big", func() { a.Alloc(1, 2) })
 	mustPanic(t, "home negative", func() { a.Alloc(1, -2) })
-	u := NewNativeArena(2, 64, Unpadded())
-	mustPanic(t, "home too big (unpadded)", func() { u.Alloc(1, 7) })
-}
-
-func TestUnpaddedLegacyLayout(t *testing.T) {
-	a := NewNativeArena(4, 64, Unpadded())
-	if a.Padded() {
-		t.Fatal("Unpadded arena reports Padded")
-	}
-	// Dense, home-blind, sequential: the pre-optimization layout.
-	if got := a.Alloc(3, 2); got != 1 {
-		t.Fatalf("first alloc = %d, want 1", got)
-	}
-	if got := a.Alloc(1, HomeNone); got != 4 {
-		t.Fatalf("second alloc = %d, want 4", got)
-	}
-	if got := a.Size(); got != 5 {
-		t.Fatalf("Size = %d, want 5", got)
-	}
 }
 
 // TestNativeSizerMatchesArena: replaying an allocation sequence against the
 // sizer predicts the arena's physical footprint and addresses exactly —
 // the property rme.New's capacity measurement depends on.
 func TestNativeSizerMatchesArena(t *testing.T) {
-	for _, padded := range []bool{true, false} {
-		sizer := NewNativeSizer(4, padded)
-		seq := []struct{ nwords, home int }{
-			{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, HomeNone}, {4, 0}, {2, HomeNone},
-			{1, 1}, {9, 2}, {1, 0}, {1, HomeNone}, {3, 3},
-		}
-		var want []Addr
-		for _, s := range seq {
-			want = append(want, sizer.Alloc(s.nwords, s.home))
-		}
-		var opts []NativeOption
-		if !padded {
-			opts = append(opts, Unpadded())
-		}
-		a := NewNativeArena(4, sizer.Words(), opts...)
-		for i, s := range seq {
-			got := a.Alloc(s.nwords, s.home)
-			if got != want[i] {
-				t.Fatalf("padded=%v alloc %d: arena %d, sizer %d", padded, i, got, want[i])
-			}
-		}
-		if a.Size() != sizer.Words() {
-			t.Fatalf("padded=%v footprint %d, sizer %d", padded, a.Size(), sizer.Words())
+	sizer := NewNativeSizer(4, true)
+	seq := []struct{ nwords, home int }{
+		{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, HomeNone}, {4, 0}, {2, HomeNone},
+		{1, 1}, {9, 2}, {1, 0}, {1, HomeNone}, {3, 3},
+	}
+	var want []Addr
+	for _, s := range seq {
+		want = append(want, sizer.Alloc(s.nwords, s.home))
+	}
+	a := NewNativeArena(4, sizer.Words())
+	for i, s := range seq {
+		got := a.Alloc(s.nwords, s.home)
+		if got != want[i] {
+			t.Fatalf("alloc %d: arena %d, sizer %d", i, got, want[i])
 		}
 	}
+	if a.Size() != sizer.Words() {
+		t.Fatalf("footprint %d, sizer %d", a.Size(), sizer.Words())
+	}
+	// The padded layout is the only one there is.
+	mustPanic(t, "dense sizer", func() { NewNativeSizer(4, false) })
 }
 
 // TestCachedBoundRefreshes: a port created before later allocations must

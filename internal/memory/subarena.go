@@ -37,13 +37,8 @@ var _ Space = (*SubArena)(nil)
 
 // Carve reserves lines whole cache lines from the arena and returns the
 // sub-arena spanning them. The span is permanent — a sub-arena is
-// recycled with Reset, never returned to the parent. Carving requires
-// the padded layout: the dense legacy layout has no line discipline for
-// a region to inherit.
+// recycled with Reset, never returned to the parent.
 func (a *NativeArena) Carve(lines int) *SubArena {
-	if !a.padded {
-		panic("memory: Carve requires the padded arena layout")
-	}
 	if lines < 1 {
 		panic(fmt.Sprintf("memory: Carve(%d)", lines))
 	}
@@ -61,7 +56,7 @@ func (a *NativeArena) Carve(lines int) *SubArena {
 // region end. The parent's line 0 holds the global null word and every
 // region starts at line 1 or later, so no region address is ever Nil.
 func (s *SubArena) resetAlloc() {
-	s.alloc = nativeAlloc{n: s.parent.n, padded: true, region: true}
+	s.alloc = nativeAlloc{n: s.parent.n, region: true}
 	s.alloc.limit = (s.baseLine + s.lines) * LineWords
 	s.alloc.stripes = make([]stripe, s.parent.n)
 	s.alloc.nextLine.Store(s.baseLine)
@@ -104,7 +99,7 @@ func (s *SubArena) Reset() {
 }
 
 // NewSubSizer returns a sizer measuring the region footprint of an
-// allocation sequence under the padded layout: it starts at relative
+// allocation sequence: it starts at relative
 // line 0 (a region reserves no null line — the parent's line 0 serves
 // every region), so Lines() after replaying a construction is exactly
 // the line count to pass to Carve, and the construction replayed into

@@ -113,18 +113,6 @@ func TestSubArenaExhausted(t *testing.T) {
 	sub.Alloc(LineWords+1, HomeNone)
 }
 
-// TestCarveRequiresPadding: the dense legacy layout has no line
-// discipline, so carving from it must fail loudly.
-func TestCarveRequiresPadding(t *testing.T) {
-	arena := NewNativeArena(1, 64, Unpadded())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Carve on an unpadded arena did not panic")
-		}
-	}()
-	arena.Carve(1)
-}
-
 // TestVersionTableInvalidate: after a region recycle, a port that had
 // the old words cached must pay an RMR on its next read (the CC model's
 // view of fresh memory), which Invalidate forces by bumping versions.

@@ -108,11 +108,10 @@ type mapEntry struct {
 //
 // Map-specific options are WithShards and WithSegmentSlots; the lock
 // recipe options (WithBase, WithLevels), failure injection, WithMetrics
-// and WithTracing apply to every per-key lock. WithUnpaddedArena,
-// WithoutReclamation, WithSlack and WithCapacity do not apply to maps
-// and are rejected: regions require the padded line discipline, and
-// per-key locks must pool their queue nodes or a long-lived key's
-// region would exhaust.
+// and WithTracing apply to every per-key lock. WithoutReclamation,
+// WithSlack and WithCapacity do not apply to maps and are rejected:
+// per-key locks must pool their queue nodes or a long-lived key's region
+// would exhaust, and regions are sized exactly.
 func NewMap(n int, opts ...Option) (*Map, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rme: NewMap(%d): need at least one process", n)
@@ -122,8 +121,6 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 		o(&cfg)
 	}
 	switch {
-	case cfg.unpadded:
-		return nil, fmt.Errorf("rme: NewMap does not support WithUnpaddedArena (regions need the padded layout)")
 	case !cfg.reclamation:
 		return nil, fmt.Errorf("rme: NewMap does not support WithoutReclamation (per-key locks must pool queue nodes)")
 	case cfg.slack != 0 || cfg.capacity != 0:

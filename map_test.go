@@ -17,9 +17,6 @@ func TestNewMapValidation(t *testing.T) {
 	if _, err := NewMap(0); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if _, err := NewMap(2, WithUnpaddedArena()); err == nil {
-		t.Fatal("expected error for unpadded map")
-	}
 	if _, err := NewMap(2, WithoutReclamation()); err == nil {
 		t.Fatal("expected error for map without reclamation")
 	}

@@ -23,8 +23,7 @@ import (
 // enforced by detection, not trust: Snapshot verifies its copy with a
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image. Snapshots require node reclamation (the
-// default), which keeps the arena layout fixed, and the default padded
-// arena layout (not WithUnpaddedArena).
+// default), which keeps the arena layout fixed.
 
 // snapMagic identifies the snapshot format. RMESNAP2 is the cache-line-
 // padded arena layout; RMESNAP1 streams (the old dense layout) are
@@ -56,9 +55,6 @@ var (
 func (m *Mutex) Snapshot(w io.Writer) error {
 	if !m.cfg.reclamation {
 		return ErrSnapshotUnsupported
-	}
-	if m.cfg.unpadded {
-		return fmt.Errorf("%w: unpadded arenas are a benchmarking layout only", ErrSnapshotUnsupported)
 	}
 	words, err := m.arena.SnapshotWords()
 	if err != nil {

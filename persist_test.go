@@ -127,16 +127,6 @@ func TestSnapshotWithoutReclamationRefused(t *testing.T) {
 	}
 }
 
-func TestSnapshotUnpaddedRefused(t *testing.T) {
-	m, err := New(2, WithUnpaddedArena())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Snapshot(&bytes.Buffer{}); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("err = %v, want ErrSnapshotUnsupported", err)
-	}
-}
-
 // TestSnapshotDetectsConcurrentMutation: Snapshot under live passages must
 // never silently serialize a torn image — each attempt either succeeds (it
 // raced with no write) or returns ErrSnapshotConcurrent; successful streams

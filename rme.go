@@ -55,7 +55,6 @@ type config struct {
 	reclamation bool
 	slack       int
 	capacity    int
-	unpadded    bool
 	metrics     bool
 	tracing     bool
 	tracingOpts TracingOptions
@@ -127,14 +126,6 @@ func WithSlack(words int) Option { return func(c *config) { c.slack = words } }
 // footprint plus any slack; use this to pre-size for workloads known to
 // allocate more (only meaningful with WithoutReclamation).
 func WithCapacity(words int) Option { return func(c *config) { c.capacity = words } }
-
-// WithUnpaddedArena selects the dense legacy arena layout: allocations
-// are packed contiguously with no cache-line padding or home striping,
-// and ports re-check the arena bound on every instruction. This is the
-// pre-optimization execution path, kept for A/B benchmarking of the
-// cache-line-aware default; it is strictly slower under contention.
-// Snapshot is not supported on unpadded mutexes.
-func WithUnpaddedArena() Option { return func(c *config) { c.unpadded = true } }
 
 // WithShards sets a Map's shard count (default 8, rounded up to a power
 // of two). Keys hash over shards; each shard serializes only its own
@@ -253,13 +244,13 @@ func New(n int, opts ...Option) (*Mutex, error) {
 	// sequence against a sizer with the same layout policy, then build
 	// for real. Construction is deterministic, so the real arena lands
 	// every allocation exactly where the sizer predicted.
-	sizer := memory.NewNativeSizer(n, !cfg.unpadded)
+	sizer := memory.NewNativeSizer(n, true)
 	spec.Build(sizer, n)
 	capacity := sizer.Words() + cfg.slack
 	if !cfg.reclamation {
 		if cfg.slack == 0 {
 			capacity += 1 << 16 // room for dynamically allocated queue nodes
-		} else if !cfg.unpadded {
+		} else {
 			// Padded arenas round dynamic allocations up to whole lines
 			// per home; leave headroom so the requested slack is usable.
 			capacity += (n + 1) * memory.LineWords
@@ -269,11 +260,7 @@ func New(n int, opts ...Option) (*Mutex, error) {
 		capacity = cfg.capacity
 	}
 
-	var aopts []memory.NativeOption
-	if cfg.unpadded {
-		aopts = append(aopts, memory.Unpadded())
-	}
-	arena := memory.NewNativeArena(n, capacity, aopts...)
+	arena := memory.NewNativeArena(n, capacity)
 	bal := spec.Build(arena, n)
 	m := &Mutex{eng: newEngine(n, &cfg), n: n, cfg: cfg, arena: arena}
 	if cfg.metrics {

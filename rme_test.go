@@ -333,45 +333,11 @@ func TestWithCapacityFloor(t *testing.T) {
 	}
 }
 
-// TestUnpaddedArenaOption: the legacy dense layout must remain a fully
-// working lock (it is the benchmark baseline), just a smaller one.
-func TestUnpaddedArenaOption(t *testing.T) {
-	padded, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := New(4, WithUnpaddedArena())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Footprint() >= padded.Footprint() {
-		t.Fatalf("dense layout (%d words) not smaller than padded (%d words)",
-			dense.Footprint(), padded.Footprint())
-	}
-	var wg sync.WaitGroup
-	counter := 0
-	for pid := 0; pid < 4; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			for k := 0; k < 200; k++ {
-				dense.Passage(pid, func() { counter++ })
-			}
-		}(pid)
-	}
-	wg.Wait()
-	if counter != 4*200 {
-		t.Fatalf("unpadded mutex lost increments: %d", counter)
-	}
-}
-
 func TestOptionsCombinations(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithBase(BaseArbTree), WithLevels(2)},
 		{WithLevels(1)},
 		{WithoutReclamation(), WithSlack(1 << 12)},
-		{WithUnpaddedArena()},
-		{WithUnpaddedArena(), WithoutReclamation(), WithSlack(1 << 12)},
 		{WithCapacity(1 << 14), WithoutReclamation()},
 	} {
 		m, err := New(3, opts...)
