@@ -3,10 +3,13 @@ package rme
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rme/internal/metrics"
 )
 
 func TestLockCtxAcquires(t *testing.T) {
@@ -238,6 +241,51 @@ func TestTryLockFor(t *testing.T) {
 	s, _ := m.MetricsSnapshot()
 	if s.Passages != 2 || s.Aborted != 1 {
 		t.Fatalf("passages=%d aborted=%d, want 2/1", s.Passages, s.Aborted)
+	}
+}
+
+// TestAbortFreeWhenUnused pins abort support at zero RMRs on passages
+// that do not abort: alone, a passage is one fixed instruction sequence,
+// so acquiring through LockCtx under a live cancellable context or
+// through TryLockFor under a deadline that never fires must give exactly
+// the RMR histogram of plain Lock, on both bases.
+func TestAbortFreeWhenUnused(t *testing.T) {
+	const passages = 200
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	acquires := []struct {
+		name string
+		lock func(m *Mutex) bool
+	}{
+		{"Lock", func(m *Mutex) bool { m.Lock(0); return true }},
+		{"LockCtx", func(m *Mutex) bool { return m.LockCtx(ctx, 0) == nil }},
+		{"TryLockFor", func(m *Mutex) bool { return m.TryLockFor(0, time.Hour) }},
+	}
+	for _, base := range []Base{BaseTournament, BaseArbTree} {
+		var want metrics.Hist
+		for _, a := range acquires {
+			m, err := New(1, WithBase(base), WithMetrics())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < passages; i++ {
+				if !a.lock(m) {
+					t.Fatalf("base %d %s: passage %d did not acquire", base, a.name, i)
+				}
+				m.Unlock(0)
+			}
+			s, _ := m.MetricsSnapshot()
+			if s.Passages != passages || s.Attempts != passages || s.Aborted != 0 {
+				t.Fatalf("base %d %s: attempts=%d passages=%d aborted=%d, want %d/%d/0",
+					base, a.name, s.Attempts, s.Passages, s.Aborted, passages, passages)
+			}
+			if want.Counts == nil {
+				want = s.RMRHist
+			} else if h := s.RMRHist; !slices.Equal(h.Counts, want.Counts) {
+				t.Errorf("base %d %s: RMR histogram differs from Lock's: median %d, total %d RMRs; Lock: median %d, total %d RMRs",
+					base, a.name, h.Quantile(0.5), h.Sum(), want.Quantile(0.5), want.Sum())
+			}
+		}
 	}
 }
 

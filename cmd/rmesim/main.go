@@ -161,15 +161,13 @@ func main() {
 	}
 	fmt.Printf("metrics     %s\n", res.MetricsSnapshot(levels))
 
-	var checkErr error
-	switch spec.Strength {
-	case workload.Strong:
-		checkErr = check.Strong(res, 1<<20)
-		fmt.Printf("properties (strong: ME, satisfaction, BCSR): %s\n", verdict(checkErr))
-	case workload.Weak:
-		checkErr = check.Weak(res)
-		fmt.Printf("properties (weak: satisfaction, responsiveness): %s\n", verdict(checkErr))
-	}
+	battery := map[workload.Strength]string{
+		workload.Strong:         "strong: ME, satisfaction, BCSR",
+		workload.Weak:           "weak: satisfaction, responsiveness",
+		workload.NonRecoverable: "non-recoverable: ME",
+	}[spec.Strength]
+	checkErr := spec.Check(res)
+	fmt.Printf("properties (%s): %s\n", battery, verdict(checkErr))
 	if checkErr != nil {
 		os.Exit(1)
 	}

@@ -14,6 +14,9 @@
 // every single-crash placement exhaustively. Violations are shrunk and
 // written as repro artifacts that cmd/rmesim -repro replays bit-exactly.
 //
+// Without -locks it sweeps every recoverable lock in the registry
+// (non-recoverable ablation baselines are skipped).
+//
 // Usage:
 //
 //	rmesweep -locks wr,sa,ba-log -n 4 -model both -requests 2 -pairs -aborts
@@ -35,7 +38,7 @@ import (
 
 func main() {
 	var (
-		locks         = flag.String("locks", "wr,sa,ba-log", "comma-separated locks to sweep (see rmesim -list)")
+		locks         = flag.String("locks", "", "comma-separated locks to sweep (default every registry lock; see rmesim -list)")
 		n             = flag.Int("n", 4, "number of processes")
 		model         = flag.String("model", "both", "memory model: cc, dsm or both")
 		requests      = flag.Int("requests", 2, "satisfied requests per process")
@@ -66,8 +69,12 @@ func main() {
 		fatal(err)
 	}
 
+	names := workload.Names()
+	if *locks != "" {
+		names = strings.Split(*locks, ",")
+	}
 	totalPlacements, totalViolations := 0, 0
-	for _, name := range strings.Split(*locks, ",") {
+	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -140,13 +147,10 @@ func sweepOne(spec workload.Spec, mdl memory.Model, o sweepOpts) (placements, vi
 	for i, pl := range plan.Placements {
 		res, runErr := plan.Run(i, spec.New)
 		var cerr error
-		switch {
-		case runErr != nil:
+		if runErr != nil {
 			cerr = &check.Violation{Property: check.PropStarvation, Err: runErr}
-		case spec.Strength == workload.Strong:
-			cerr = check.Strong(res, 1<<20)
-		default:
-			cerr = check.Weak(res)
+		} else {
+			cerr = spec.Check(res)
 		}
 		if o.verbose {
 			fmt.Printf("  %s/%v %-40s %s\n", spec.Name, mdl, pl, verdict(cerr))
@@ -191,17 +195,8 @@ func record(spec workload.Spec, mdl memory.Model, sc sim.SweepConfig, pl sim.Pla
 	} else {
 		cfg.Plan = &sim.CrashSet{Points: append([]sim.CrashPoint{}, pl.Points...)}
 	}
-	strength := repro.StrengthStrong
-	if spec.Strength == workload.Weak {
-		strength = repro.StrengthWeak
-	}
-	art, _, err := repro.Record(repro.RunSpec{
-		Lock:       spec.Name,
-		Strength:   strength,
-		BCSRMaxOps: 1 << 20,
-		Config:     cfg,
-		Note:       fmt.Sprintf("rmesweep %s/%v placement %d (%s): %v", spec.Name, mdl, idx, pl, observed),
-	}, spec.New)
+	note := fmt.Sprintf("rmesweep %s/%v placement %d (%s): %v", spec.Name, mdl, idx, pl, observed)
+	art, _, err := repro.Record(spec.RunSpec(cfg, note), spec.New)
 	if err != nil {
 		return "", err
 	}

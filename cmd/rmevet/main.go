@@ -1,20 +1,18 @@
 // Command rmevet mechanically enforces the shared-memory discipline the
-// RME algorithms (Dhoked & Mittal, PODC 2020) depend on:
+// RME algorithms (Dhoked & Mittal, PODC 2020) depend on, one analyzer per
+// invariant:
 //
 //   - portdiscipline: algorithm packages touch shared memory only
 //     through memory.Port — no sync/atomic, unsafe, goroutines,
-//     channels, or package-level mutable state;
+//     channels, or package-level mutable state — and never import the
+//     flight recorder, so recording cannot widen the crash window
+//     (Definition 3.3);
 //   - sensitive: every FAS/CAS carries an rme:sensitive or
 //     rme:nonsensitive(<why>) marker, and each file's
 //     rme:sensitive-instructions inventory matches (WR-Lock: exactly
 //     one, the FAS on tail — Definition 3.3);
-//   - spinloop: busy-wait loops re-read through the Port and contain a
-//     step gate (Port.Pause);
 //   - persistfield: persistent-state structs hold memory.Addr words,
 //     never raw Go pointers, maps, or channels that vanish on crash;
-//   - flightemit: flight-recorder emit calls may not appear between a
-//     sensitive FAS and its persisting write — recording must not widen
-//     the crash window (Definition 3.3);
 //   - persistorder: on every control-flow path, a sensitive RMW's result
 //     reaches a persisting Port.Write before any return or further
 //     sensitive instruction (backward must-analysis over the CFG);
@@ -23,7 +21,8 @@
 //     returned closures (forward taint analysis over the CFG);
 //   - spinrmr: every port-governed spin loop either re-reads cheaply
 //     (cached read + Pause) or carries an rme:rmw-loop(<why>) marker
-//     certifying its per-retry RMW/Write cost is bounded.
+//     certifying its per-retry RMW/Write cost is bounded, and no loop
+//     waits on a private copy of shared memory.
 //
 // The driver additionally audits rme:allow markers: one that suppresses
 // no diagnostic is itself reported (as "allowaudit"), so waivers cannot
@@ -43,13 +42,11 @@ package main
 import (
 	"rme/internal/analysis"
 	"rme/internal/analysis/driver"
-	"rme/internal/analysis/passes/flightemit"
 	"rme/internal/analysis/passes/persistfield"
 	"rme/internal/analysis/passes/persistorder"
 	"rme/internal/analysis/passes/portdiscipline"
 	"rme/internal/analysis/passes/portescape"
 	"rme/internal/analysis/passes/sensitive"
-	"rme/internal/analysis/passes/spinloop"
 	"rme/internal/analysis/passes/spinrmr"
 )
 
@@ -59,9 +56,7 @@ import (
 var suite = []*analysis.Analyzer{
 	portdiscipline.Analyzer,
 	sensitive.Analyzer,
-	spinloop.Analyzer,
 	persistfield.Analyzer,
-	flightemit.Analyzer,
 	persistorder.Analyzer,
 	portescape.Analyzer,
 	spinrmr.Analyzer,

@@ -1,11 +1,16 @@
 package main
 
-import "testing"
+import (
+	"os/exec"
+	"testing"
+
+	"rme/internal/analysis/driver"
+)
 
 // TestSuiteRegistration pins the analyzer set: dropping a pass from the
-// suite would silently stop enforcing one of the eight invariants.
+// suite would silently stop enforcing one of the six invariants.
 func TestSuiteRegistration(t *testing.T) {
-	want := []string{"portdiscipline", "sensitive", "spinloop", "persistfield", "flightemit", "persistorder", "portescape", "spinrmr"}
+	want := []string{"portdiscipline", "sensitive", "persistfield", "persistorder", "portescape", "spinrmr"}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
 	}
@@ -23,5 +28,23 @@ func TestSuiteRegistration(t *testing.T) {
 		if a.Run == nil {
 			t.Errorf("analyzer %s has no Run", a.Name)
 		}
+	}
+}
+
+// TestRepoIsClean is the self-enforcement gate: the committed algorithm
+// packages must satisfy every invariant of the suite rmevet ships (and
+// carry no stale rme:allow markers — the driver's allow audit runs here
+// too). A regression means a new RMW lost its marker, a spin loop lost
+// its Pause, a sensitive FAS lost its persisting write, or similar.
+func TestRepoIsClean(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("go command not available: %v", err)
+	}
+	diags, err := driver.Standalone([]string{"rme/..."}, suite)
+	if err != nil {
+		t.Fatalf("standalone driver: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }

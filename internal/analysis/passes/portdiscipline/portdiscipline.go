@@ -6,7 +6,9 @@
 //
 //   - importing sync, sync/atomic, unsafe, runtime or time — Go-level
 //     concurrency, memory and clock primitives all bypass the arena and
-//     its RMR accounting;
+//     its RMR accounting — or rme/internal/flight, so that recording
+//     cannot add instructions to the crash window after a sensitive FAS
+//     (Definition 3.3);
 //   - package-level mutable state (any non-blank package-level var):
 //     such state neither survives a simulated crash nor is visible to
 //     the RMR models;
@@ -30,17 +32,18 @@ const name = "portdiscipline"
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "enforce that algorithm packages touch shared state only through memory.Port\n\n" +
-		"Forbids sync/sync⁄atomic/unsafe/runtime/time imports, package-level mutable state,\n" +
+		"Forbids sync/sync⁄atomic/unsafe/runtime/time/flight imports, package-level mutable state,\n" +
 		"goroutines, channels and select in lock algorithm packages.",
 	Run: run,
 }
 
 var bannedImports = map[string]string{
-	"sync":        "Go-level locking bypasses the word arena and its RMR accounting",
-	"sync/atomic": "atomics bypass memory.Port; shared words must be touched through the Port",
-	"unsafe":      "unsafe defeats the arena's crash and accounting model",
-	"runtime":     "scheduling belongs to the simulator/native backends, not algorithm code",
-	"time":        "algorithm code must not depend on wall-clock state that vanishes on crash",
+	"sync":                "Go-level locking bypasses the word arena and its RMR accounting",
+	"sync/atomic":         "atomics bypass memory.Port; shared words must be touched through the Port",
+	"unsafe":              "unsafe defeats the arena's crash and accounting model",
+	"runtime":             "scheduling belongs to the simulator/native backends, not algorithm code",
+	"time":                "algorithm code must not depend on wall-clock state that vanishes on crash",
+	"rme/internal/flight": "recording reaches algorithm code only through core.PhaseHook and Port.Label; a direct call could widen a sensitive FAS's crash window",
 }
 
 func run(pass *analysis.Pass) error {

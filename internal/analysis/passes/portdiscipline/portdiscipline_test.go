@@ -9,5 +9,5 @@ import (
 
 func TestPortDiscipline(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), portdiscipline.Analyzer,
-		"rme/internal/grlock", "rme/outside")
+		"rme/internal/grlock", "rme/internal/core", "rme/outside")
 }

@@ -8,11 +8,11 @@
 // paper's adaptive construction exists to avoid (Sections 4.3, 5.2).
 //
 // The pass finds natural loops on the function's control-flow graph
-// (catching goto-formed loops the syntactic spinloop pass cannot see)
-// and computes, per loop, the set of variables carrying values read
-// through a port. A loop is a *spin* when it has exit-governing blocks
-// and every one of them depends on port state — directly or through such
-// a variable. Loops that also exit through local state (a bounded scan
+// (goto-formed loops included) and computes, per loop, the set of
+// variables carrying values read through a port. A loop that reads
+// through a port is a *spin* when every one of its exit-governing blocks
+// (if it has any) depends on port state — directly or through such a
+// variable. Loops that also exit through local state (a bounded scan
 // like the bakery doorway, a counted retry) are not spins and are not
 // constrained here. For each spin:
 //
@@ -21,6 +21,13 @@
 //     certifying a reviewed bound on its retry count;
 //   - otherwise it is a cached-read spin and must contain a Port.Pause
 //     backoff so the native backend yields while waiting.
+//
+// A loop that performs no Read, FAS, or CAS never observes shared memory,
+// so the awaited write cannot end it. It is reported when its exits test
+// a private copy of shared memory loaded before the loop, and none of
+// the variables the loop assigns (the copy is what a crash erases, and
+// the RMR accounting cannot see the wait), or when it has no exit and
+// pauses: only a crash ends it.
 //
 // Stale rme:rmw-loop markers (attached to no RMW spin) are reported, so
 // the inventory cannot rot.
@@ -47,7 +54,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "classify port-governed loops on the control-flow graph: cached-read spins\n\n" +
 		"need a Port.Pause backoff, RMW retry loops need an rme:rmw-loop(<why>)\n" +
-		"marker certifying a bounded retry count, and stale markers are reported.",
+		"marker certifying a bounded retry count, loops that wait on a private copy\n" +
+		"of shared memory are reported, and so are stale markers.",
 	Run: run,
 }
 
@@ -91,11 +99,14 @@ func checkFunc(pass *analysis.Pass, file *ast.File, fn *ast.FuncDecl,
 
 	info := pass.TypesInfo
 	g := cfg.New(fn.Body, nil)
+	loaded := portTaint(info, g.Blocks)
 
 	for _, loop := range dataflow.Loops(g) {
 		// Tally the port operations of the whole loop body.
 		var ops rmeutil.PortOps
+		var body []*cfg.Block
 		for b := range loop.Body {
+			body = append(body, b)
 			for _, n := range b.Nodes {
 				o := rmeutil.PortOpsIn(info, n)
 				ops.Reads += o.Reads
@@ -104,15 +115,27 @@ func checkFunc(pass *analysis.Pass, file *ast.File, fn *ast.FuncDecl,
 				ops.Pauses += o.Pauses
 			}
 		}
-		if ops.Reads == 0 && ops.Writes == 0 && ops.RMWs == 0 {
-			continue // no shared memory involved; not our concern
+		pos := loopPos(loop)
+		line := pass.Fset.Position(pos).Line
+		report := func(format string, args ...interface{}) {
+			if !rmeutil.Suppressed(pass, file, markers, line) {
+				pass.Reportf(pos, format, args...)
+			}
 		}
 
 		exits := loop.Exits()
-		if len(exits) == 0 {
-			continue // for {} with no way out: spinloop's department
+		if ops.Reads == 0 && ops.RMWs == 0 {
+			// Nothing in the loop observes shared memory, so the
+			// awaited write cannot end it.
+			switch {
+			case len(exits) == 0 && ops.Pauses > 0:
+				report("spin pauses forever without re-reading shared memory: only a crash can end it")
+			case len(exits) > 0 && waitsOnCopy(info, body, exits, loaded):
+				report("spin exits on a private copy of shared memory loaded before the loop: re-read it through the Port so the awaited write is seen and its RMRs are counted")
+			}
+			continue
 		}
-		taint := loopTaint(info, loop)
+		taint := portTaint(info, body)
 		spin := true
 		for _, b := range exits {
 			if !portDependent(info, b, taint) {
@@ -124,66 +147,51 @@ func checkFunc(pass *analysis.Pass, file *ast.File, fn *ast.FuncDecl,
 			continue // also exits through local state: a bounded scan
 		}
 
-		pos := loopPos(loop)
-		line := pass.Fset.Position(pos).Line
 		if ops.Writes > 0 || ops.RMWs > 0 {
 			rmwLoopLines[line] = true
-			if markers.HasRMWLoop(line) {
-				continue
+			if !markers.HasRMWLoop(line) {
+				report("port-governed loop performs %s on every retry: unbounded RMRs unless the retry count is bounded; certify with rme:rmw-loop(<why>)",
+					describeMutations(ops))
 			}
-			if rmeutil.Suppressed(pass, file, markers, line) {
-				continue
-			}
-			pass.Reportf(pos,
-				"port-governed loop performs %s on every retry: unbounded RMRs unless the retry count is bounded; certify with rme:rmw-loop(<why>)",
-				describeMutations(ops))
-			continue
-		}
-		if ops.Pauses == 0 {
-			if rmeutil.Suppressed(pass, file, markers, line) {
-				continue
-			}
-			pass.Reportf(pos,
-				"cached-read spin has no Port.Pause backoff: add the step-gate hint so the native backend yields while spinning")
+		} else if ops.Pauses == 0 {
+			report("cached-read spin has no Port.Pause backoff: add the step-gate hint so the native backend yields while spinning")
 		}
 	}
 }
 
-// loopTaint computes, to a fixpoint, the variables that carry values read
-// through a port anywhere in the loop: assigned from an expression
+// portTaint computes, to a fixpoint, the variables that carry values read
+// through a port in the given blocks: assigned from an expression
 // containing a Port.Read/FAS/CAS or mentioning an already-tainted
 // variable.
-func loopTaint(info *types.Info, loop *dataflow.Loop) dataflow.VarSet {
-	var nodes []ast.Node
-	for b := range loop.Body {
-		nodes = append(nodes, b.Nodes...)
-	}
+func portTaint(info *types.Info, blocks []*cfg.Block) dataflow.VarSet {
 	taint := dataflow.VarSet(nil)
 	for {
 		changed := false
-		for _, n := range nodes {
-			cfg.Inspect(n, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				fromPort := false
-				for _, rhs := range as.Rhs {
-					if readsPort(info, rhs) || mentionsTainted(info, rhs, taint) {
-						fromPort = true
+		for _, b := range blocks {
+			for _, n := range b.Nodes {
+				cfg.Inspect(n, func(n ast.Node) bool {
+					as, ok := n.(*ast.AssignStmt)
+					if !ok {
+						return true
 					}
-				}
-				if !fromPort {
-					return true
-				}
-				for _, lhs := range as.Lhs {
-					if v := asVar(info, lhs); v != nil && !taint.Has(v) {
-						taint = taint.With(v)
-						changed = true
+					fromPort := false
+					for _, rhs := range as.Rhs {
+						if readsPort(info, rhs) || mentions(info, rhs, taint) {
+							fromPort = true
+						}
 					}
-				}
-				return true
-			})
+					if !fromPort {
+						return true
+					}
+					for _, lhs := range as.Lhs {
+						if v := asVar(info, lhs); v != nil && !taint.Has(v) {
+							taint = taint.With(v)
+							changed = true
+						}
+					}
+					return true
+				})
+			}
 		}
 		if !changed {
 			return taint
@@ -191,11 +199,47 @@ func loopTaint(info *types.Info, loop *dataflow.Loop) dataflow.VarSet {
 	}
 }
 
+// waitsOnCopy reports whether the exits of a loop made of body test a
+// port-loaded variable and none of the variables the loop assigns. A
+// range loop advances its own iterator, so it never waits.
+func waitsOnCopy(info *types.Info, body, exits []*cfg.Block, loaded dataflow.VarSet) bool {
+	var assigned dataflow.VarSet
+	for _, b := range body {
+		for _, n := range b.Nodes {
+			cfg.Inspect(n, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				}
+				for _, e := range lhs {
+					if v := asVar(info, e); v != nil {
+						assigned = assigned.With(v)
+					}
+				}
+				return true
+			})
+		}
+	}
+	onCopy := false
+	for _, b := range exits {
+		for _, n := range b.Nodes {
+			if _, ranged := n.(*ast.RangeStmt); ranged || mentions(info, n, assigned) {
+				return false
+			}
+			onCopy = onCopy || mentions(info, n, loaded)
+		}
+	}
+	return onCopy
+}
+
 // portDependent reports whether the block's nodes read shared memory
 // directly or mention a variable tainted by a port read.
 func portDependent(info *types.Info, b *cfg.Block, taint dataflow.VarSet) bool {
 	for _, n := range b.Nodes {
-		if readsPort(info, n) || mentionsTainted(info, n, taint) {
+		if readsPort(info, n) || mentions(info, n, taint) {
 			return true
 		}
 	}
@@ -208,15 +252,15 @@ func readsPort(info *types.Info, n ast.Node) bool {
 	return ops.Reads > 0 || ops.RMWs > 0
 }
 
-// mentionsTainted reports whether n mentions a variable in taint.
-func mentionsTainted(info *types.Info, n ast.Node, taint dataflow.VarSet) bool {
-	if len(taint) == 0 {
+// mentions reports whether n mentions a variable in vars.
+func mentions(info *types.Info, n ast.Node, vars dataflow.VarSet) bool {
+	if len(vars) == 0 {
 		return false
 	}
 	found := false
 	cfg.Inspect(n, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if v := asVar(info, id); v != nil && taint.Has(v) {
+			if v := asVar(info, id); v != nil && vars.Has(v) {
 				found = true
 			}
 		}

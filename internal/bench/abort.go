@@ -13,10 +13,10 @@ import (
 // RMR distribution of the back-outs themselves. Aborts are injected
 // through the public deadline API (TryLockFor with a microsecond-scale
 // deadline), so the measurement exercises the real poll/back-out
-// machinery end to end. The rate-0 row doubles as the regression anchor:
-// it must match the plain metrics experiment's F=0 numbers (the abort
-// support is off the failure-free path), which Check asserts. Results
-// serialize as BENCH_abort.json (rme-bench-abort/v1).
+// machinery end to end. The rate-0 row never calls the abort API; that
+// abort support costs no RMRs on unaborted passages is pinned exactly by
+// the rme package's TestAbortFreeWhenUnused. Results serialize as
+// BENCH_abort.json (rme-bench-abort/v1).
 
 // abortRates are the fractions of attempts made under a tight deadline.
 // A deadlined attempt aborts only if the deadline actually expires while

@@ -111,16 +111,7 @@ func Run(pt Point) (Metrics, error) {
 	if pt.RecordOps && spec.SlowLabels != nil {
 		m.MaxDepth = check.MaxDepth(res, spec.SlowLabels(pt.N))
 	}
-	switch spec.Strength {
-	case workload.Strong:
-		m.CheckErr = check.Strong(res, 1<<20)
-	case workload.Weak:
-		m.CheckErr = check.Weak(res)
-	case workload.NonRecoverable:
-		// Ablation baselines: mutual exclusion only, and only under
-		// failure-free plans.
-		m.CheckErr = check.MutualExclusion(res)
-	}
+	m.CheckErr = spec.Check(res)
 	return m, nil
 }
 

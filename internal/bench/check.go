@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 )
@@ -60,11 +59,6 @@ var gates = map[string][]gate{
 		every("backout-budget", fmt.Sprintf("abort_rmr_median <= %d", rmrBudget), false,
 			func(r Row) bool { return r.Aborted > 0 },
 			func(r Row) bool { return r.AbortRMRMedian <= rmrBudget }),
-		anchored("metrics-anchor", "rmr_median within 5% + 1 of the metrics F=0 median",
-			func(r Row) bool { return r.Rate == 0 },
-			func(r, base Row) bool {
-				return math.Abs(float64(r.RMRMedian-base.RMRMedian)) <= float64(base.RMRMedian)*0.05+1
-			}),
 	},
 	"map": {
 		every("hot-rows", "hot rows", true, func(r Row) bool { return r.Mode == "hot" }, nil),
@@ -207,8 +201,8 @@ func rowID(i int, r Row) string {
 
 // Check validates BENCH_*.json files against the gates of their schemas
 // and returns one "FILE: experiment/gate: detail" line per violation. The
-// cross-report anchors (abort and map against metrics) apply when a
-// metrics report is among the files.
+// cross-report anchor (map against metrics) applies when a metrics report
+// is among the files.
 func Check(files ...string) ([]string, error) {
 	reps := make([]*Report, len(files))
 	seen := map[string]bool{}

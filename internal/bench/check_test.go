@@ -8,7 +8,7 @@ import (
 )
 
 // TestCheckRepoReports: the checked-in BENCH_*.json files hold every gate,
-// cross-report anchors included.
+// the cross-report anchor included.
 func TestCheckRepoReports(t *testing.T) {
 	names, _ := repoReports(t)
 	bad, err := Check(names...)
@@ -34,7 +34,6 @@ var mutations = map[string]func(r *Report){
 	"abort/rate0-no-aborts":    func(r *Report) { r.Results[0].Aborted = 1 },
 	"abort/rate0-budget":       func(r *Report) { r.Results[0].RMRMedian = rmrBudget + 1 },
 	"abort/backout-budget":     func(r *Report) { r.Results[2].AbortRMRMedian = rmrBudget + 1 },
-	"abort/metrics-anchor":     func(r *Report) { r.Results[0].RMRMedian += 3 },
 
 	"map/hot-rows": func(r *Report) {
 		for i := range r.Results {

@@ -212,7 +212,7 @@ var tables = map[string]struct {
 		[]string{"lock", "workers", "rate", "attempts", "passages", "aborted", "rmr_median", "rmr_p99", "abort_rmr_median", "abort_rmr_p99"},
 		[]string{
 			"rate: fraction of attempts made under a microsecond-scale deadline (TryLockFor)",
-			"expect: rmr_median at rate 0 identical to the metrics experiment's F=0 row; abort_rmr_median bounded",
+			"expect: rate 0 is plain Lock/Unlock, the metrics experiment's F=0 workload; abort_rmr_median bounded",
 		}},
 	"map": {"Keyed lock manager, exact CC RMRs",
 		[]string{"lock", "mode", "workers", "keys", "zipf_s", "passages", "rmr_median", "rmr_p99", "slot_words", "footprint_words", "recycled", "evictions"},

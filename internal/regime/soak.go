@@ -121,23 +121,11 @@ func (c *Campaign) config(model memory.Model, seed int64) sim.Config {
 	return cfg
 }
 
-func strengthName(s workload.Strength) string {
-	if s == workload.Weak {
-		return repro.StrengthWeak
-	}
-	return repro.StrengthStrong
-}
-
 // report captures a violation as a shrunk, replayable artifact and returns
 // the file it was written to.
 func (c *Campaign) report(spec workload.Spec, model memory.Model, seed int64, observed error) (string, error) {
-	art, _, err := repro.Record(repro.RunSpec{
-		Lock:       spec.Name,
-		Strength:   strengthName(spec.Strength),
-		BCSRMaxOps: 1 << 20,
-		Config:     c.config(model, seed),
-		Note:       fmt.Sprintf("soak %s/%v seed=%d: %v", spec.Name, model, seed, observed),
-	}, spec.New)
+	note := fmt.Sprintf("soak %s/%v seed=%d: %v", spec.Name, model, seed, observed)
+	art, _, err := repro.Record(spec.RunSpec(c.config(model, seed), note), spec.New)
 	if err != nil {
 		return "", fmt.Errorf("recording repro: %w", err)
 	}
@@ -220,13 +208,10 @@ func (c *Campaign) Run() (int, int) {
 					c.merge(spec.Name, res.MetricsSnapshot(levels))
 				}
 				var cerr error
-				switch {
-				case err != nil:
+				if err != nil {
 					cerr = &check.Violation{Property: check.PropStarvation, Err: err}
-				case spec.Strength == workload.Strong:
-					cerr = check.Strong(res, 1<<20)
-				default:
-					cerr = check.Weak(res)
+				} else {
+					cerr = spec.Check(res)
 				}
 				if cerr == nil {
 					continue

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"testing"
 
-	"rme/internal/check"
 	"rme/internal/memory"
 	"rme/internal/sim"
 	"rme/internal/workload"
@@ -149,14 +148,8 @@ func checkPlacement(t *testing.T, spec workload.Spec, model memory.Model, plan *
 	if err != nil {
 		t.Fatalf("%s/%v placement %s: %v", spec.Name, model, plan.Placements[i], err)
 	}
-	var cerr error
-	if spec.Strength == workload.Strong {
-		cerr = check.Strong(res, 1<<20)
-	} else {
-		cerr = check.Weak(res)
-	}
-	if cerr != nil {
-		t.Fatalf("%s/%v placement %s: %v", spec.Name, model, plan.Placements[i], cerr)
+	if err := spec.Check(res); err != nil {
+		t.Fatalf("%s/%v placement %s: %v", spec.Name, model, plan.Placements[i], err)
 	}
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"rme/internal/check"
 	"rme/internal/memory"
 	"rme/internal/repro"
 	"rme/internal/sim"
@@ -20,15 +19,8 @@ func abortable(spec Spec, n int) bool {
 // verify runs the lock's property battery for its declared strength.
 func verify(t *testing.T, spec Spec, res *sim.Result, ctx string) {
 	t.Helper()
-	switch spec.Strength {
-	case Strong:
-		if err := check.Strong(res, 1<<20); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-	case Weak:
-		if err := check.Weak(res); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
+	if err := spec.Check(res); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
 	}
 }
 

@@ -48,15 +48,8 @@ func TestCrashMatrix(t *testing.T) {
 						t.Fatalf("%s/%v pid=%d at=%d: %d requests, want %d",
 							name, model, pid, at, got, n*requests)
 					}
-					switch spec.Strength {
-					case Strong:
-						if err := check.Strong(res, 1<<20); err != nil {
-							t.Fatalf("%s/%v pid=%d at=%d: %v", name, model, pid, at, err)
-						}
-					case Weak:
-						if err := check.Weak(res); err != nil {
-							t.Fatalf("%s/%v pid=%d at=%d: %v", name, model, pid, at, err)
-						}
+					if err := spec.Check(res); err != nil {
+						t.Fatalf("%s/%v pid=%d at=%d: %v", name, model, pid, at, err)
 					}
 				}
 			}

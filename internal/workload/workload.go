@@ -10,11 +10,13 @@ import (
 
 	"rme/internal/arbtree"
 	"rme/internal/bakery"
+	"rme/internal/check"
 	"rme/internal/core"
 	"rme/internal/grlock"
 	"rme/internal/mcs"
 	"rme/internal/memory"
 	"rme/internal/reclaim"
+	"rme/internal/repro"
 	"rme/internal/sim"
 )
 
@@ -49,6 +51,35 @@ type Spec struct {
 	// Levels returns the recursion depth for n processes (0 for
 	// non-recursive locks).
 	Levels func(n int) int
+}
+
+// bcsrMaxOps bounds, in instructions, the re-entry passage of the BCSR
+// check that Check and recorded repro artifacts apply to strong locks.
+const bcsrMaxOps = 1 << 20
+
+// Check runs the property battery of the lock's strength over a run:
+// check.Strong for strong locks, check.Weak for weak ones, and mutual
+// exclusion only for non-recoverable ablation baselines (which must run
+// under failure-free plans).
+func (s Spec) Check(res *sim.Result) error {
+	switch s.Strength {
+	case Strong:
+		return check.Strong(res, bcsrMaxOps)
+	case Weak:
+		return check.Weak(res)
+	}
+	return check.MutualExclusion(res)
+}
+
+// RunSpec describes a run of the lock under cfg for repro.Record, whose
+// replay applies the battery Check applies. repro has no battery for
+// non-recoverable locks; they replay the strong one.
+func (s Spec) RunSpec(cfg sim.Config, note string) repro.RunSpec {
+	strength := repro.StrengthStrong
+	if s.Strength == Weak {
+		strength = repro.StrengthWeak
+	}
+	return repro.RunSpec{Lock: s.Name, Strength: strength, BCSRMaxOps: bcsrMaxOps, Config: cfg, Note: note}
 }
 
 func tournamentBase(sp memory.Space, n int) core.RecoverableLock {
