@@ -489,7 +489,8 @@ func TestAbortCrashRecoverStress(t *testing.T) {
 // TestPassageZeroAllocs pins the passage driver at zero heap allocations
 // per call — including an abortable passage under a context that never
 // fires, whose cancellation poll reads ctx.Done() on the acquiring
-// goroutine.
+// goroutine, and a Map miss, which rebinds a recycled region and its
+// already-built lock to the new key.
 func TestPassageZeroAllocs(t *testing.T) {
 	m, err := New(2)
 	if err != nil {
@@ -499,8 +500,15 @@ func TestPassageZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One region for two alternating keys: every call evicts the other.
+	churn, err := NewMap(2, WithShards(1), WithSegmentSlots(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cs := context.Background(), func() {}
 	ma.Passage(0, "live", cs) // instantiate the key up front
+	keys, turn := [2]string{"a", "b"}, 0
+	churn.Passage(0, keys[turn], cs) // carve the region up front
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -510,9 +518,13 @@ func TestPassageZeroAllocs(t *testing.T) {
 		{"Mutex.PassageCtx", func() { m.PassageCtx(ctx, 0, cs) }},
 		{"Map.Passage", func() { ma.Passage(0, "live", cs) }},
 		{"Map.PassageCtx", func() { ma.PassageCtx(ctx, 0, "live", cs) }},
+		{"Map.Passage (miss)", func() { turn ^= 1; churn.Passage(0, keys[turn], cs) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", c.name, got)
 		}
+	}
+	if st := churn.Stats(); st.Evictions != st.Instantiated-1 || st.Segments != 1 {
+		t.Fatalf("miss case did not rebind one region: %+v", st)
 	}
 }

@@ -79,6 +79,35 @@ func BenchmarkNativeContended(b *testing.B) {
 	}
 }
 
+// BenchmarkMap prices one rme.Map passage at n = 8 (the region of a
+// 3-level BA-Lock): a hit on a live key, and a miss, where two keys
+// alternate over a single region so every passage evicts the other key
+// and binds its region to the new one.
+func BenchmarkMap(b *testing.B) {
+	cs := func() {}
+	for _, tc := range []struct {
+		name string
+		opts []rme.Option
+		keys [2]string
+	}{
+		{"hit", nil, [2]string{"hot", "hot"}},
+		{"miss", []rme.Option{rme.WithShards(1), rme.WithSegmentSlots(1)}, [2]string{"a", "b"}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ma, err := rme.NewMap(8, tc.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ma.Passage(0, tc.keys[1], cs) // carve the region up front
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ma.Passage(0, tc.keys[i%2], cs)
+			}
+		})
+	}
+}
+
 // --- Table 1: RMRs per passage under the three failure scenarios ----------
 
 func BenchmarkTable1(b *testing.B) {

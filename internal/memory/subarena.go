@@ -1,6 +1,9 @@
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // This file generalizes the native arena from "one fixed deterministic
 // layout per lock" to "many small deterministic sub-arenas": a SubArena
@@ -12,7 +15,8 @@ import "fmt"
 // another region, and within the region no two processes' spin words
 // share a line — while the backing words, and the ports that access
 // them, remain the parent's. Keyed lock managers (rme.Map) build one
-// small lock per key this way and recycle the regions as keys churn.
+// small lock per region this way, once, and recycle the region, lock
+// and all, as keys churn.
 //
 // Layouts are translation invariant: the allocator deals exclusively in
 // line-granular offsets, so replaying an allocation sequence against a
@@ -42,24 +46,16 @@ func (a *NativeArena) Carve(lines int) *SubArena {
 	if lines < 1 {
 		panic(fmt.Sprintf("memory: Carve(%d)", lines))
 	}
-	s := &SubArena{
-		parent:   a,
-		baseLine: a.grabLines(int64(lines)) / LineWords,
-		lines:    int64(lines),
-	}
-	s.resetAlloc()
+	// The region's private allocator starts with fresh home stripes at
+	// the region base and stops at the region end. The parent's line 0
+	// holds the global null word and every region starts at line 1 or
+	// later, so no region address is ever Nil.
+	base := a.grabLines(int64(lines)) / LineWords
+	s := &SubArena{parent: a, baseLine: base, lines: int64(lines)}
+	s.alloc = nativeAlloc{n: a.n, region: true, limit: (base + int64(lines)) * LineWords}
+	s.alloc.stripes = make([]stripe, a.n)
+	s.alloc.nextLine.Store(base)
 	return s
-}
-
-// resetAlloc (re)initializes the region's private allocator: fresh home
-// stripes, the line counter at the region base, and the limit at the
-// region end. The parent's line 0 holds the global null word and every
-// region starts at line 1 or later, so no region address is ever Nil.
-func (s *SubArena) resetAlloc() {
-	s.alloc = nativeAlloc{n: s.parent.n, region: true}
-	s.alloc.limit = (s.baseLine + s.lines) * LineWords
-	s.alloc.stripes = make([]stripe, s.parent.n)
-	s.alloc.nextLine.Store(s.baseLine)
 }
 
 // N returns the number of processes.
@@ -81,22 +77,32 @@ func (s *SubArena) Lines() int { return int(s.lines) }
 // handed out by the region allocator, including padding).
 func (s *SubArena) Words() int { return int(s.alloc.bound() - s.baseLine*LineWords) }
 
-// Reset zeroes the region's words and reinitializes its allocator, so
-// the next construction replayed into the region lands on the same
-// relative addresses with all-zero initial state — exactly a freshly
-// carved region. The caller must guarantee quiescence: no port may be
-// reading or writing the region, and no process may hold a recoverable
-// claim (a queue node, a filter slot, a lock) inside it. Callers doing
-// CC-exact RMR accounting must also invalidate the region's address
-// range in their VersionTable: the zeroed words are new memory, not
-// cached copies.
+// Reset zeroes the region's words and nothing else: the allocator is not
+// restarted, so whatever was constructed in the region keeps its
+// addresses. Alloc hands out zeroed words, so a construction that only
+// allocates leaves exactly this all-zero state: after Reset it is
+// indistinguishable from the same construction in a freshly carved
+// region, and can be reused as is.
+//
+// The caller must guarantee quiescence: no process may hold a
+// recoverable claim (a queue node, a filter slot, a lock) inside the
+// region, and Reset must be ordered against every port access to it (a
+// mutex both sides take suffices). The words are cleared with plain
+// stores, which a race build reports as racing with any access not so
+// ordered. Callers doing CC-exact RMR accounting must also invalidate
+// the region's address range in their VersionTable: the zeroed words
+// are new memory, not cached copies.
 func (s *SubArena) Reset() {
-	lo, hi := s.baseLine*LineWords, (s.baseLine+s.lines)*LineWords
-	for i := lo; i < hi; i++ {
-		s.parent.words[i].Store(0)
+	lo, hi := s.Bounds()
+	words := s.parent.words[lo:hi]
+	if raceWrite != nil {
+		raceWrite(words)
 	}
-	s.resetAlloc()
+	clear(words)
 }
+
+// raceWrite is set in race builds only (race.go).
+var raceWrite func(words []atomic.Uint64)
 
 // NewSubSizer returns a sizer measuring the region footprint of an
 // allocation sequence: it starts at relative

@@ -63,34 +63,40 @@ func TestSubArenaDeterminism(t *testing.T) {
 	}
 }
 
-// TestSubArenaReset checks the recycle contract: after Reset the region
-// reads all-zero, the allocator restarts, and a replayed construction
-// lands on the same addresses as the first.
+// TestSubArenaReset checks the recycle contract: Reset zeroes exactly
+// the region's words — its neighbours, down to the words just outside
+// [lo, hi), keep their values — and leaves the allocator where it was,
+// so a structure built in the region keeps its addresses.
 func TestSubArenaReset(t *testing.T) {
 	const n = 2
 	szr := NewSubSizer(n)
 	replayAllocs(szr, n)
 	lines := szr.Lines()
 
-	arena := NewNativeArena(n, (1+lines)*LineWords)
-	sub := arena.Carve(lines)
-	first := replayAllocs(sub, n)
+	arena := NewNativeArena(n, (1+3*lines)*LineWords)
+	subs := []*SubArena{arena.Carve(lines), arena.Carve(lines), arena.Carve(lines)}
+	for _, sub := range subs {
+		replayAllocs(sub, n)
+	}
+	sub := subs[1]
+	words := sub.Words()
 	p := arena.Port(0, nil)
-	for _, a := range first {
+	for a := Addr(1); a < Addr(arena.Capacity()); a++ {
 		p.Write(a, Word(a)+7)
 	}
 	sub.Reset()
 	lo, hi := sub.Bounds()
-	for a := lo; a < hi; a++ {
-		if v := arena.Peek(a); v != 0 {
-			t.Fatalf("word %d = %d after Reset, want 0", a, v)
+	for a := Addr(1); a < Addr(arena.Capacity()); a++ {
+		want := Word(a) + 7
+		if a >= lo && a < hi {
+			want = 0
+		}
+		if v := arena.Peek(a); v != want {
+			t.Fatalf("word %d = %d after resetting [%d,%d), want %d", a, v, lo, hi, want)
 		}
 	}
-	second := replayAllocs(sub, n)
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("alloc %d: address %d after Reset, was %d", i, second[i], first[i])
-		}
+	if got := sub.Words(); got != words {
+		t.Fatalf("Words() = %d after Reset, was %d: the allocator moved", got, words)
 	}
 }
 

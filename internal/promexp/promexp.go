@@ -260,9 +260,9 @@ var mapCounters = []struct {
 	name, help string
 	get        func(*rme.MapStats) uint64
 }{
-	{"rme_map_instantiated_total", "Keys built.",
+	{"rme_map_instantiated_total", "Keys bound to a region, fresh or recycled.",
 		func(m *rme.MapStats) uint64 { return m.Instantiated }},
-	{"rme_map_recycled_total", "Instantiations that reused a recycled region.",
+	{"rme_map_recycled_total", "Key bindings that reused a recycled region.",
 		func(m *rme.MapStats) uint64 { return m.Recycled }},
 	{"rme_map_evictions_total", "Idle keys evicted.",
 		func(m *rme.MapStats) uint64 { return m.Evictions }},
@@ -276,7 +276,7 @@ var shardCounters = []struct {
 		func(sh *rme.MapShardStats) uint64 { return uint64(sh.Keys) }},
 	{"rme_map_shard_free", "Recycled regions awaiting reuse in the shard.",
 		func(sh *rme.MapShardStats) uint64 { return uint64(sh.Free) }},
-	{"rme_map_shard_instantiated_total", "Keys built in the shard.",
+	{"rme_map_shard_instantiated_total", "Keys bound to a region in the shard, fresh or recycled.",
 		func(sh *rme.MapShardStats) uint64 { return sh.Instantiated }},
 	{"rme_map_shard_evictions_total", "Idle keys evicted from the shard.",
 		func(sh *rme.MapShardStats) uint64 { return sh.Evictions }},

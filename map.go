@@ -30,11 +30,12 @@ import (
 // needs a region for a new key it reuses a recycled one, carves a fresh
 // one from the current segment, or evicts the least-recently-used idle
 // key — growing a new segment only when every live key is pinned. A
-// region is recycled only at quiescence (no engaged process, no pending
-// crashed claim), zeroed, and rebuilt in place; a process that crashed
-// while holding or queued on a key therefore always finds its lock
-// state intact when it recovers, no matter how many other keys churned
-// in between.
+// region's lock is built once, when it is carved; a region is recycled
+// only at quiescence (no engaged process, no pending crashed claim), by
+// zeroing it, which leaves the lock as just built for the next key. A
+// process that crashed while holding or queued on a key therefore always
+// finds its lock state intact when it recovers, no matter how many other
+// keys churned in between.
 //
 // Process identifiers are 0..n-1 across the whole Map: at any moment at
 // most one goroutine may act as a given process, and a process runs at
@@ -63,13 +64,13 @@ type mapShard struct {
 	m  *Map
 	mu sync.Mutex
 
-	entries  map[string]*mapEntry
+	entries  map[string]*region
 	segments []*mapSegment
-	free     []subSlot
+	free     []*region
 	clock    uint64 // LRU stamp source
 
-	instantiated uint64 // keys built (fresh or into a recycled region)
-	recycled     uint64 // instantiations that reused a recycled region
+	instantiated uint64 // keys bound to a region (fresh or recycled)
+	recycled     uint64 // bindings that reused a recycled region
 	evictions    uint64 // idle keys evicted
 }
 
@@ -84,20 +85,16 @@ type mapSegment struct {
 	carved int
 }
 
-// subSlot is a carved region and the segment it belongs to.
-type subSlot struct {
-	seg *mapSegment
-	sub *memory.SubArena
-}
-
-// mapEntry is one live key: its lock, its region, and its lifecycle
-// accounting (all guarded by the owning shard's mu).
-type mapEntry struct {
-	key   string
+// region is one carved region with the lock built in it, fixed for
+// life, and the lifecycle of the key last bound to it (guarded by the
+// owning shard's mu).
+type region struct {
 	shard *mapShard
-	slot  subSlot
+	seg   *mapSegment
+	sub   *memory.SubArena
 	lock  *core.BALock
 
+	key      string
 	refs     int    // processes engaged (procs[pid].e == this)
 	pending  []bool // pending[pid]: crashed claim abandoned by pid
 	npending int
@@ -148,7 +145,7 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 
 	// Measure one per-key lock's region footprint; every region is
 	// carved with exactly this line count and the construction replays
-	// into it deterministically.
+	// into it deterministically, once per region.
 	szr := memory.NewSubSizer(n)
 	spec.Build(szr, n)
 
@@ -165,7 +162,7 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	}
 	ma.eng.keys = ma
 	for i := range ma.shards {
-		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*mapEntry)}
+		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*region)}
 	}
 	return ma, nil
 }
@@ -212,85 +209,78 @@ func (sg *mapSegment) ensurePort(ma *Map, pid int) {
 // recycled region first, then an uncarved slot in the current segment,
 // then the region of an evicted idle key, and only when every live key
 // is pinned a fresh segment. Called under mu.
-func (sh *mapShard) slotFor() subSlot {
+func (sh *mapShard) slotFor() *region {
 	if k := len(sh.free); k > 0 {
-		s := sh.free[k-1]
+		r := sh.free[k-1]
 		sh.free = sh.free[:k-1]
 		sh.recycled++
-		return s
+		return r
 	}
-	if k := len(sh.segments); k > 0 {
-		if sg := sh.segments[k-1]; sg.carved < sh.m.segSlots {
-			sg.carved++
-			return subSlot{seg: sg, sub: sg.arena.Carve(sh.m.slotLines)}
+	if k := len(sh.segments); k == 0 || sh.segments[k-1].carved == sh.m.segSlots {
+		if r := sh.evictLocked(); r != nil {
+			sh.recycled++
+			return r
 		}
+		sh.segments = append(sh.segments, sh.m.newSegment())
 	}
-	if s, ok := sh.evictLocked(); ok {
-		sh.recycled++
-		return s
-	}
-	sg := sh.m.newSegment()
-	sh.segments = append(sh.segments, sg)
+	// Carve a region and build its lock: the only construction the
+	// region ever sees.
+	ma, sg := sh.m, sh.segments[len(sh.segments)-1]
 	sg.carved++
-	return subSlot{seg: sg, sub: sg.arena.Carve(sh.m.slotLines)}
+	r := &region{shard: sh, seg: sg, sub: sg.arena.Carve(ma.slotLines), pending: make([]bool, ma.n)}
+	r.lock = ma.spec.Build(r.sub, ma.n)
+	ma.eng.watch(r.lock)
+	return r
 }
 
 // evictLocked evicts the least-recently-used idle key (no engaged
-// process, no pending crashed claim) and returns its recycled region.
-func (sh *mapShard) evictLocked() (subSlot, bool) {
-	var victim *mapEntry
-	for _, e := range sh.entries {
-		if e.refs == 0 && e.npending == 0 && (victim == nil || e.stamp < victim.stamp) {
-			victim = e
+// process, no pending crashed claim) and recycles its region, or returns
+// nil when every key is pinned. Recycling zeroes the region, which
+// returns its lock to the just-built state (the construction stored
+// nothing and the lock object holds only addresses), and with metrics on
+// marks the region's addresses as new memory, so no process's CC cache
+// survives into the next key's lock. mu, which every engagement takes to
+// start and to end, orders the zeroing against every port access.
+func (sh *mapShard) evictLocked() *region {
+	var victim *region
+	for _, r := range sh.entries {
+		if r.refs == 0 && r.npending == 0 && (victim == nil || r.stamp < victim.stamp) {
+			victim = r
 		}
 	}
 	if victim == nil {
-		return subSlot{}, false
+		return nil
 	}
 	delete(sh.entries, victim.key)
 	sh.evictions++
-	sh.recycle(victim.slot)
-	return victim.slot, true
-}
-
-// recycle resets a region for reuse: zeroed words, restarted allocator,
-// and — when metrics are on — the region's addresses marked as new
-// memory so no process's CC cache survives into the next key's lock.
-func (sh *mapShard) recycle(s subSlot) {
-	s.sub.Reset()
-	if s.seg.rec != nil {
-		lo, hi := s.sub.Bounds()
-		s.seg.rec.InvalidateRange(lo, hi)
+	victim.sub.Reset()
+	if rec := victim.seg.rec; rec != nil {
+		rec.InvalidateRange(victim.sub.Bounds())
 	}
+	return victim
 }
 
-// acquire looks up or instantiates key's entry and engages pid with it.
-func (sh *mapShard) acquire(pid int, key string) *mapEntry {
+// acquire looks up key's region, binding the key to one on a miss, and
+// engages pid with it.
+func (sh *mapShard) acquire(pid int, key string) *region {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
-		slot := sh.slotFor()
-		e = &mapEntry{
-			key:     key,
-			shard:   sh,
-			slot:    slot,
-			lock:    sh.m.spec.Build(slot.sub, sh.m.n),
-			pending: make([]bool, sh.m.n),
-		}
-		sh.m.eng.watch(e.lock)
-		sh.entries[key] = e
+	r := sh.entries[key]
+	if r == nil {
+		r = sh.slotFor()
+		r.key = key
+		sh.entries[key] = r
 		sh.instantiated++
 	}
-	if e.pending[pid] {
-		e.pending[pid] = false
-		e.npending--
+	if r.pending[pid] {
+		r.pending[pid] = false
+		r.npending--
 	}
-	e.refs++
+	r.refs++
 	sh.clock++
-	e.stamp = sh.clock
-	e.slot.seg.ensurePort(sh.m, pid)
-	return e
+	r.stamp = sh.clock
+	r.seg.ensurePort(sh.m, pid)
+	return r
 }
 
 // begin binds pid's passage state to key's lock: a recovery continues
@@ -316,8 +306,8 @@ func (ma *Map) begin(pid int, key string) {
 		sh.mu.Unlock()
 		s.e = nil
 	}
-	e := ma.shardOf(key).acquire(pid, key)
-	s.e, s.lock, s.port, s.rec = e, e.lock, e.slot.seg.ports[pid], e.slot.seg.rec
+	r := ma.shardOf(key).acquire(pid, key)
+	s.e, s.lock, s.port, s.rec = r, r.lock, r.seg.ports[pid], r.seg.rec
 }
 
 // finish releases pid's engagement after a clean passage end or a
@@ -391,11 +381,11 @@ func (ma *Map) EvictIdle(max int) int {
 	for _, sh := range ma.shards {
 		sh.mu.Lock()
 		for max <= 0 || evicted < max {
-			s, ok := sh.evictLocked()
-			if !ok {
+			r := sh.evictLocked()
+			if r == nil {
 				break
 			}
-			sh.free = append(sh.free, s)
+			sh.free = append(sh.free, r)
 			evicted++
 		}
 		sh.mu.Unlock()
@@ -438,8 +428,8 @@ type MapShardStats struct {
 	Keys         int    // live keys
 	Segments     int    // arena segments
 	Free         int    // recycled regions awaiting reuse
-	Instantiated uint64 // keys built
-	Recycled     uint64 // instantiations that reused a recycled region
+	Instantiated uint64 // keys bound to a region (fresh or recycled)
+	Recycled     uint64 // bindings that reused a recycled region
 	Evictions    uint64 // idle keys evicted
 }
 

@@ -225,8 +225,9 @@ func TestMapCrashEvictionPressure(t *testing.T) {
 		}
 	}
 	st := ma.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under churn pressure: %+v", st)
+	// "held" and churn-0 fill the two slots; churn-1..49 each evict.
+	if st.Instantiated != 51 || st.Recycled != 49 || st.Evictions != 49 {
+		t.Fatalf("instantiated/recycled/evictions = %d/%d/%d, want 51/49/49", st.Instantiated, st.Recycled, st.Evictions)
 	}
 	if st.Segments != 1 {
 		t.Fatalf("footprint grew to %d segments with an evictable key set", st.Segments)
@@ -386,8 +387,9 @@ func TestMapChurnBoundedFootprint(t *testing.T) {
 	if st.Segments != 1 {
 		t.Fatalf("segments = %d, want 1", st.Segments)
 	}
-	if st.Evictions < distinct-8 {
-		t.Fatalf("evictions = %d over %d distinct keys", st.Evictions, distinct)
+	// Four keys are carved, every later one recycles an evicted region.
+	if st.Instantiated != distinct || st.Recycled != distinct-4 || st.Evictions != distinct-4 {
+		t.Fatalf("instantiated/recycled/evictions = %d/%d/%d over %d distinct keys", st.Instantiated, st.Recycled, st.Evictions, distinct)
 	}
 	if got := st.FootprintWords; got >= distinct*ma.SlotWords() {
 		t.Fatalf("footprint %d words not bounded (distinct keys would need %d)", got, distinct*ma.SlotWords())
@@ -396,6 +398,118 @@ func TestMapChurnBoundedFootprint(t *testing.T) {
 	if s.Passages != distinct {
 		t.Fatalf("passages=%d, want %d", s.Passages, distinct)
 	}
+}
+
+// TestMapRecycleMatchesFreshLock: a recycled region's lock costs exactly
+// what a freshly built one costs. One region serves two alternating
+// keys, so every passage after the first runs on the lock the other key
+// left, zeroed and its addresses invalidated. The pinned histogram is
+// what rebuilding the lock on every miss gives, and its cheapest passage
+// is exactly a fresh Mutex's first.
+func TestMapRecycleMatchesFreshLock(t *testing.T) {
+	for _, base := range []Base{BaseTournament, BaseArbTree} {
+		ma, err := NewMap(8, WithBase(base), WithShards(1), WithSegmentSlots(1), WithMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if !ma.Passage(i%8, [2]string{"a", "b"}[i%2], func() {}) {
+				t.Fatalf("base %d: passage %d failed without injection", base, i)
+			}
+		}
+		s, _ := ma.MetricsSnapshot()
+		want := map[int]uint64{41: 7, 42: 43}
+		for c, got := range s.RMRHist.Counts {
+			if got != want[c] {
+				t.Errorf("base %d: %d passages cost %d RMRs, want %d", base, got, c, want[c])
+			}
+		}
+		if s.RMRs != 2093 {
+			t.Errorf("base %d: RMRs = %d, want 2093", base, s.RMRs)
+		}
+		if st := ma.Stats(); st.Instantiated != 50 || st.Segments != 1 {
+			t.Errorf("base %d: instantiated=%d segments=%d, want 50/1", base, st.Instantiated, st.Segments)
+		}
+
+		m, err := New(8, WithBase(base), WithMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Passage(0, func() {})
+		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[41] != 1 {
+			t.Errorf("base %d: a fresh Mutex's first passage is not 41 RMRs: %v", base, ms.RMRs)
+		}
+	}
+}
+
+// TestMapChurnCrashStress recycles regions from concurrent processes
+// while crashes are injected at random instructions: 48 keys share one
+// shard's four slots, so most requests evict an idle key, and every
+// request retries its key until a passage completes. The plain per-key
+// counters make the race detector an exact mutual-exclusion check (a
+// region recycled under an engaged process races with its port
+// accesses), and the atomic occupancy flags make overlap explicit even
+// without -race.
+func TestMapChurnCrashStress(t *testing.T) {
+	const (
+		n        = 4
+		keys     = 48
+		requests = 400 // per process
+	)
+	rngs := make([]*rand.Rand, n)
+	for pid := range rngs {
+		rngs[pid] = rand.New(rand.NewSource(int64(pid)*7919 + 3))
+	}
+	// Each process's draws come only from the goroutine acting as it.
+	fail := func(pid int) bool { return rngs[pid].Intn(400) == 0 }
+	ma, err := NewMap(n, WithShards(1), WithSegmentSlots(4), WithFailures(fail), WithMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make([]int, keys)
+	var inCS [keys]atomic.Int32
+	var wg sync.WaitGroup
+	for pid := 0; pid < n; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(pid)*271 + 5))
+			for i := 0; i < requests; i++ {
+				k := rng.Intn(keys)
+				key, cs := "key-"+strconv.Itoa(k), func() {
+					if !inCS[k].CompareAndSwap(0, 1) {
+						t.Errorf("two processes in key %d's critical section", k)
+					}
+					counters[k]++
+					inCS[k].Store(0)
+				}
+				for !ma.Passage(pid, key, cs) {
+					// Crashed: retry the same key, which recovers the claim.
+				}
+			}
+		}(pid)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counters {
+		total += c
+	}
+	s, _ := ma.MetricsSnapshot()
+	st := ma.Stats()
+	if s.Passages != n*requests {
+		t.Fatalf("recorder counted %d passages, want %d", s.Passages, n*requests)
+	}
+	if s.Attempts != s.Passages+s.Aborted+s.CrashedAttempts {
+		t.Fatalf("identity broken: %+v", s)
+	}
+	// A crash after the critical section re-enters it on recovery (BCSR).
+	if total < n*requests {
+		t.Fatalf("critical sections ran %d times for %d requests", total, n*requests)
+	}
+	if s.Crashes == 0 || st.Evictions == 0 {
+		t.Fatalf("no crashes (%d) or no evictions (%d): the test churned nothing", s.Crashes, st.Evictions)
+	}
+	t.Logf("crashes=%d evictions=%d segments=%d critical sections=%d", s.Crashes, st.Evictions, st.Segments, total)
 }
 
 // TestMapShardSnapshots: per-shard snapshots sum to the global one.

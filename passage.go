@@ -38,7 +38,7 @@ type proc struct {
 	lock *core.BALock
 	port memory.Port
 	rec  *metrics.Recorder // metrics for port; nil unless WithMetrics
-	e    *mapEntry         // Map only: the engaged key, nil when none
+	e    *region           // Map only: the engaged key's region, nil when none
 	inCS bool              // acquired and not released; a Map engages no other key
 	_    [15]byte          // pad to one cache line
 }
