@@ -12,6 +12,7 @@ package rme_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -82,7 +83,9 @@ func BenchmarkNativeContended(b *testing.B) {
 // BenchmarkMap prices one rme.Map passage at n = 8 (the region of a
 // 3-level BA-Lock): a hit on a live key, and a miss, where two keys
 // alternate over a single region so every passage evicts the other key
-// and binds its region to the new one.
+// and binds its region to the new one. carve prices a region's first
+// use: each iteration builds a Map and runs one passage on each of 64
+// fresh keys, so its per-carve figures include NewMap spread over them.
 func BenchmarkMap(b *testing.B) {
 	cs := func() {}
 	for _, tc := range []struct {
@@ -106,6 +109,30 @@ func BenchmarkMap(b *testing.B) {
 			}
 		})
 	}
+	b.Run("carve", func(b *testing.B) {
+		const carves = 64
+		keys := make([]string, carves)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key-%d", i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ma, err := rme.NewMap(8, rme.WithShards(1), rme.WithSegmentSlots(carves))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range keys {
+				ma.Passage(0, k, cs)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		total := float64(b.N * carves)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/carve")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/carve")
+	})
 }
 
 // --- Table 1: RMRs per passage under the three failure scenarios ----------

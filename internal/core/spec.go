@@ -8,10 +8,9 @@ import (
 
 // LockSpec is a reusable recipe for building a BA-Lock: the recursion
 // depth plus the base-lock and node-source factories, captured once and
-// replayable into any Space. Keyed lock managers hold one spec and
-// stamp out a lock per key — first into a sub-sizer to measure the
-// region footprint, then into each carved sub-arena — relying on the
-// deterministic allocator to reproduce the measured layout every time.
+// replayable into any Space. A sizer replay measures the footprint
+// before the real build, relying on the deterministic allocator to
+// reproduce the measured layout.
 type LockSpec struct {
 	// Levels is the recursion depth m (at least 1).
 	Levels int

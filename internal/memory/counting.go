@@ -62,17 +62,24 @@ type OpCounts struct {
 // CountingPort wraps a NativePort with exact CC-model RMR accounting
 // and label observation. It implements Port; like the port it wraps, it
 // must only be used from the goroutine currently impersonating the
-// process.
+// process. It fills two whole cache lines, so the counters it writes on
+// every instruction share no line with another process's port.
 type CountingPort struct {
 	inner *NativePort
-	vt    *VersionTable
-	// seen[a] is ver[a]+1 at the time a was last cached; 0 = invalid.
+	// ver and seen are vt's versions and cache in the inner port's frame
+	// (SetOffset), so the hot path indexes them with the port address.
+	ver    []atomic.Uint64
 	seen   []Word
 	counts OpCounts
 	// onLabel, when non-nil, observes every non-empty label issued
 	// through the port (before it is forwarded to the inner port, so
 	// failure injection still sees it on the instruction).
 	onLabel func(label string)
+	vt      *VersionTable
+	// cache[a] is the version of arena word a plus one at the time the
+	// port last cached it; 0 = invalid.
+	cache []Word
+	_     [16]byte
 }
 
 var _ Port = (*CountingPort)(nil)
@@ -88,12 +95,19 @@ func CountPort(inner *NativePort, vt *VersionTable, onLabel func(string)) *Count
 	if vt == nil {
 		panic("memory: CountPort requires a version table")
 	}
-	return &CountingPort{
-		inner:   inner,
-		vt:      vt,
-		seen:    make([]Word, vt.Words()),
-		onLabel: onLabel,
-	}
+	c := &CountingPort{inner: inner, vt: vt, cache: make([]Word, vt.Words()), onLabel: onLabel}
+	c.SetOffset(inner.off)
+	return c
+}
+
+// SetOffset shifts the port's frame with the inner port's
+// (NativePort.SetOffset). Versions and cache state stay per arena word,
+// so a word written through one frame is an RMR when read through
+// another, and two words that share an address in different frames
+// never share cache state.
+func (c *CountingPort) SetOffset(off Addr) {
+	c.inner.SetOffset(off)
+	c.ver, c.seen = c.vt.ver[off:], c.cache[off:]
 }
 
 // Counts returns the traffic recorded so far. It must be called from
@@ -106,7 +120,7 @@ func (c *CountingPort) Counts() OpCounts { return c.counts }
 // process crashes: cache contents are private state and do not survive
 // a failure, exactly as Arena.InvalidateCache models.
 func (c *CountingPort) InvalidateCache() {
-	clear(c.seen)
+	clear(c.cache)
 }
 
 // PID implements Port.
@@ -134,14 +148,14 @@ func (c *CountingPort) Label(l string) {
 func (c *CountingPort) write(a Addr) {
 	c.counts.Ops++
 	c.counts.RMRs++
-	c.seen[a] = Word(c.vt.ver[a].Add(1)) + 1
+	c.seen[a] = Word(c.ver[a].Add(1)) + 1
 }
 
 // Read implements Port.
 func (c *CountingPort) Read(a Addr) Word {
 	w := c.inner.Read(a)
 	c.counts.Ops++
-	if v := Word(c.vt.ver[a].Load()) + 1; c.seen[a] != v {
+	if v := Word(c.ver[a].Load()) + 1; c.seen[a] != v {
 		c.counts.RMRs++
 		c.seen[a] = v
 	}

@@ -49,9 +49,8 @@ type NativeArena struct {
 // NativeSizer, so capacity measurement replays exactly the allocator the
 // real arena uses.
 type nativeAlloc struct {
-	n      int
-	region bool  // a sub-arena region: exhaustion blames the region, not the arena
-	limit  int64 // physical capacity in words; 0 = unbounded (sizer)
+	n     int
+	limit int64 // physical capacity in words; 0 = unbounded (sizer)
 
 	// Whole cache lines are handed out by nextLine, then sub-allocated
 	// per home stripe.
@@ -103,9 +102,6 @@ func (al *nativeAlloc) grabLines(k int64) int64 {
 		line := al.nextLine.Load()
 		end := line + k
 		if al.limit > 0 && end*LineWords > al.limit {
-			if al.region {
-				panic(fmt.Sprintf("memory: sub-arena region exhausted (capacity %d words); carve a larger region", al.limit))
-			}
 			panic(fmt.Sprintf("memory: native arena exhausted (capacity %d words); size it with rme.WithCapacity", al.limit))
 		}
 		if al.nextLine.CompareAndSwap(line, end) {
@@ -240,25 +236,36 @@ func (a *NativeArena) Port(pid int, fail FailFunc) *NativePort {
 	if pid < 0 || pid >= a.n {
 		panic(fmt.Sprintf("memory: pid %d out of range [0,%d)", pid, a.n))
 	}
-	return &NativePort{arena: a, pid: pid, fail: fail}
+	return &NativePort{arena: a, words: a.words, pid: pid, fail: fail}
 }
 
 // NativePort is a process's view of a NativeArena.
+//
+// Every instruction reads the fields of the first cache line and writes
+// label. The struct fills two whole lines, so a port shares no line with
+// another process's port, which would otherwise stall both processes on
+// every instruction.
 type NativePort struct {
-	arena   *NativeArena
-	pid     int
-	fail    FailFunc
-	abort   AbortFunc
+	// words is the arena seen from the port's frame, arena.words[off:]:
+	// port address a names arena word off+a (SetOffset). Indexing the
+	// view, not the arena, keeps the shift off the instructions.
+	words   []atomic.Uint64
 	label   string
 	onLabel func(label string)
-
-	// bound caches the arena's allocation bound so the hot path validates
-	// addresses with a register compare instead of re-reading the shared
-	// counter on every instruction; refreshed on miss (the arena only
-	// grows).
+	fail    FailFunc
+	// bound caches the arena's allocation bound, in the port's frame, so
+	// the hot path validates addresses with a register compare instead of
+	// re-reading the shared counter on every instruction; refreshed on
+	// miss (the arena only grows).
 	bound int64
+
+	arena *NativeArena
+	pid   int
+	abort AbortFunc
+	off   Addr
 	// spin is the Pause backoff ladder position.
 	spin uint8
+	_    [35]byte
 }
 
 var _ Port = (*NativePort)(nil)
@@ -269,8 +276,28 @@ func (p *NativePort) PID() int { return p.pid }
 // N implements Port.
 func (p *NativePort) N() int { return p.arena.n }
 
-// Alloc implements Port.
-func (p *NativePort) Alloc(nwords int, home int) Addr { return p.arena.Alloc(nwords, home) }
+// Alloc implements Port. It panics on a port whose offset is not zero:
+// the arena hands out addresses in its own frame, not the port's.
+func (p *NativePort) Alloc(nwords int, home int) Addr {
+	if p.off != 0 {
+		panic(fmt.Sprintf("memory: Alloc on a port at offset %d", p.off))
+	}
+	return p.arena.Alloc(nwords, home)
+}
+
+// SetOffset shifts the port's frame: from now on address a names arena
+// word off+a. One lock object built at a template layout then runs on
+// every copy of that layout in the arena, each reached through its own
+// offset (rme.Map runs all its keys' regions on one lock this way). Nil
+// stays invalid in every frame. A port starts at offset 0, the arena's
+// own frame.
+func (p *NativePort) SetOffset(off Addr) {
+	if off == p.off {
+		return
+	}
+	p.off, p.words = off, p.arena.words[off:]
+	p.bound = p.arena.bound() - int64(off)
+}
 
 // Label implements Port.
 func (p *NativePort) Label(l string) { p.label = l }
@@ -345,7 +372,7 @@ func (p *NativePort) step(k OpKind, addr Addr) {
 // grown since it was cached) and panics if addr is still invalid.
 func (p *NativePort) refreshBound(addr Addr) {
 	if addr != Nil {
-		p.bound = p.arena.bound()
+		p.bound = p.arena.bound() - int64(p.off)
 		if int64(addr) < p.bound {
 			return
 		}
@@ -356,25 +383,25 @@ func (p *NativePort) refreshBound(addr Addr) {
 // Read implements Port.
 func (p *NativePort) Read(a Addr) Word {
 	p.step(OpRead, a)
-	return p.arena.words[a].Load()
+	return p.words[a].Load()
 }
 
 // Write implements Port.
 func (p *NativePort) Write(a Addr, v Word) {
 	p.step(OpWrite, a)
-	p.arena.words[a].Store(v)
+	p.words[a].Store(v)
 }
 
 // FAS implements Port.
 func (p *NativePort) FAS(a Addr, v Word) Word {
 	p.step(OpFAS, a)
-	return p.arena.words[a].Swap(v)
+	return p.words[a].Swap(v)
 }
 
 // CAS implements Port.
 func (p *NativePort) CAS(a Addr, old, new Word) bool {
 	p.step(OpCAS, a)
-	return p.arena.words[a].CompareAndSwap(old, new)
+	return p.words[a].CompareAndSwap(old, new)
 }
 
 // ErrTornSnapshot is returned by SnapshotWords when the arena was mutated

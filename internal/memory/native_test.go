@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func line(a Addr) int64 { return int64(a) / LineWords }
@@ -283,4 +284,25 @@ func TestNativeConcurrentAlloc(t *testing.T) {
 		}(pid)
 	}
 	wg.Wait()
+}
+
+// TestPortsFillWholeLines: a port's fields are read, and its label or
+// counters written, on every instruction, so a port must share no cache
+// line with another process's port. Both port types fill whole lines,
+// which the allocator's size classes keep line aligned, and a
+// NativePort's per-instruction fields sit in its first line.
+func TestPortsFillWholeLines(t *testing.T) {
+	const lineBytes = LineWords * 8
+	for name, size := range map[string]uintptr{
+		"NativePort":   unsafe.Sizeof(NativePort{}),
+		"CountingPort": unsafe.Sizeof(CountingPort{}),
+	} {
+		if size%lineBytes != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of %d-byte lines", name, size, lineBytes)
+		}
+	}
+	var p NativePort
+	if end := unsafe.Offsetof(p.bound) + unsafe.Sizeof(p.bound); end > lineBytes {
+		t.Errorf("NativePort's per-instruction fields end at byte %d, past its first line", end)
+	}
 }

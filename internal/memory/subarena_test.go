@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // replayAllocs runs a fixed mixed allocation sequence (striped words,
 // multi-word blocks, HomeNone lines) and returns every address.
@@ -21,72 +18,139 @@ func replayAllocs(sp Space, n int) []Addr {
 	return out
 }
 
-// TestSubArenaDeterminism pins the translation invariance the keyed lock
-// manager relies on: a sequence replayed against a sub-sizer predicts
-// the exact relative addresses the same sequence produces in any carved
-// region, and every carved region reproduces the same relative layout.
-func TestSubArenaDeterminism(t *testing.T) {
-	const n = 4
-	szr := NewSubSizer(n)
-	want := replayAllocs(szr, n)
-	lines := szr.Lines()
+// carveThree replays the allocation sequence into a sizer and carves
+// three regions of the template's length (the sizer's lines after the
+// null line) from an arena with one line to spare.
+func carveThree(t *testing.T, n int) (tmpl []Addr, arena *NativeArena, subs []*SubArena) {
+	t.Helper()
+	szr := NewNativeSizer(n, true)
+	tmpl = replayAllocs(szr, n)
+	lines := szr.Lines() - 1
 	if lines < 1 {
-		t.Fatalf("Lines() = %d", lines)
+		t.Fatalf("template spans %d lines", lines)
+	}
+	arena = NewNativeArena(n, (1+3*lines+1)*LineWords)
+	return tmpl, arena, []*SubArena{arena.Carve(lines), arena.Carve(lines), arena.Carve(lines)}
+}
+
+// TestOffsetPortAddressesRegion pins the translation invariance a Map
+// relies on: through a port at offset lo-LineWords, every template
+// address lands in the region [lo, hi), shifted by the offset, and no
+// word outside the region is touched.
+func TestOffsetPortAddressesRegion(t *testing.T) {
+	const n, sentinel = 4, Word(1) << 40
+	tmpl, arena, subs := carveThree(t, n)
+	lo, hi := subs[1].Bounds()
+	off := lo - LineWords
+	abs := arena.Port(0, nil)
+	for a := Addr(1); a < Addr(arena.Size()); a++ {
+		abs.Write(a, sentinel+Word(a))
 	}
 
-	arena := NewNativeArena(n, (1+3*lines)*LineWords)
-	subs := []*SubArena{arena.Carve(lines), arena.Carve(lines), arena.Carve(lines)}
-	for si, sub := range subs {
-		lo, hi := sub.Bounds()
-		got := replayAllocs(sub, n)
-		for i, a := range got {
-			if rel := a - lo; rel != want[i] {
-				t.Fatalf("sub %d alloc %d: relative address %d, sizer predicted %d", si, i, rel, want[i])
-			}
-			if a < lo || a >= hi {
-				t.Fatalf("sub %d alloc %d: address %d outside region [%d,%d)", si, i, a, lo, hi)
-			}
+	p := arena.Port(1, nil)
+	p.SetOffset(off)
+	want := map[Addr]Word{}
+	for i, a := range tmpl {
+		p.Write(a, Word(i)+1)
+		if w := a + off; w < lo || w >= hi {
+			t.Fatalf("template address %d lands at %d, outside the region [%d,%d)", a, w, lo, hi)
 		}
-		if sub.Words() > sub.Lines()*LineWords {
-			t.Fatalf("sub %d: Words() = %d exceeds region %d", si, sub.Words(), sub.Lines()*LineWords)
+		want[a+off] = Word(i) + 1
+	}
+	for a := Addr(1); a < Addr(arena.Size()); a++ {
+		w, ok := want[a]
+		if !ok {
+			w = sentinel + Word(a)
+		}
+		if got := arena.Peek(a); got != w {
+			t.Fatalf("word %d = %d after writing the template through offset %d, want %d", a, got, off, w)
 		}
 	}
-	// Regions are disjoint.
-	for i := 0; i < len(subs); i++ {
-		for j := i + 1; j < len(subs); j++ {
-			ilo, ihi := subs[i].Bounds()
-			jlo, jhi := subs[j].Bounds()
-			if ilo < jhi && jlo < ihi {
-				t.Fatalf("regions %d [%d,%d) and %d [%d,%d) overlap", i, ilo, ihi, j, jlo, jhi)
-			}
+
+	for i, a := range tmpl {
+		v := Word(i) + 1
+		if got := p.Read(a); got != v {
+			t.Fatalf("Read(%d) = %d, want %d", a, got, v)
+		}
+		if got := p.FAS(a, v+100); got != v {
+			t.Fatalf("FAS(%d) returned %d, want %d", a, got, v)
+		}
+		if !p.CAS(a, v+100, v+200) {
+			t.Fatalf("CAS(%d) missed the word FAS stored", a)
+		}
+		if got := arena.Peek(a + off); got != v+200 {
+			t.Fatalf("word %d = %d after CAS through offset %d, want %d", a+off, got, off, v+200)
 		}
 	}
+	mustPanic(t, "relative nil", func() { p.Read(Nil) })
+	mustPanic(t, "past the allocated bound", func() { p.Read(Addr(arena.Size()) - off) })
+	mustPanic(t, "alloc at an offset", func() { p.Alloc(1, 0) })
+}
+
+// TestOffsetCountingPortCache: versions and cache state stay per arena
+// word whatever the frame. A word written through one frame is an RMR
+// when read through another, and two arena words that share an address
+// in different frames do not share cache state.
+func TestOffsetCountingPortCache(t *testing.T) {
+	arena := NewNativeArena(2, 4*LineWords)
+	arena.Carve(3)
+	vt := NewVersionTable(arena.Capacity())
+	p0 := CountPort(arena.Port(0, nil), vt, nil)
+	p1 := CountPort(arena.Port(1, nil), vt, nil)
+	const rel = Addr(LineWords + 1)
+	p1.SetOffset(LineWords)
+	rmrs := func(reads int) uint64 {
+		t.Helper()
+		before := p1.Counts().RMRs
+		for i := 0; i < reads; i++ {
+			p1.Read(rel)
+		}
+		return p1.Counts().RMRs - before
+	}
+
+	p0.Write(rel+LineWords, 5)
+	if got := p1.Read(rel); got != 5 {
+		t.Fatalf("read %d through offset %d, want the 5 written at %d", got, LineWords, rel+LineWords)
+	}
+	p0.Write(rel+LineWords, 6)
+	if got := rmrs(3); got != 1 {
+		t.Fatalf("three reads after another frame's write cost %d RMRs, want 1", got)
+	}
+
+	p1.SetOffset(2 * LineWords)
+	if got := rmrs(1); got != 1 {
+		t.Fatalf("reading the same address in a new frame cost %d RMRs, want 1 (a different word)", got)
+	}
+	p1.SetOffset(LineWords)
+	if got := rmrs(1); got != 0 {
+		t.Fatalf("returning to the first frame cost %d RMRs, want 0 (its word is still cached)", got)
+	}
+	// InvalidateCache drops every frame's words, including those below
+	// the current frame's view.
+	p1.SetOffset(0)
+	rmrs(1)
+	p1.SetOffset(2 * LineWords)
+	p1.InvalidateCache()
+	p1.SetOffset(0)
+	if got := rmrs(1); got != 1 {
+		t.Fatalf("after InvalidateCache at offset %d a read at offset 0 cost %d RMRs, want 1", 2*LineWords, got)
+	}
+	mustPanic(t, "alloc at an offset", func() { p1.Alloc(1, 1) })
 }
 
 // TestSubArenaReset checks the recycle contract: Reset zeroes exactly
 // the region's words — its neighbours, down to the words just outside
-// [lo, hi), keep their values — and leaves the allocator where it was,
-// so a structure built in the region keeps its addresses.
+// [lo, hi), keep their values.
 func TestSubArenaReset(t *testing.T) {
-	const n = 2
-	szr := NewSubSizer(n)
-	replayAllocs(szr, n)
-	lines := szr.Lines()
-
-	arena := NewNativeArena(n, (1+3*lines)*LineWords)
-	subs := []*SubArena{arena.Carve(lines), arena.Carve(lines), arena.Carve(lines)}
-	for _, sub := range subs {
-		replayAllocs(sub, n)
-	}
-	sub := subs[1]
-	words := sub.Words()
+	_, arena, subs := carveThree(t, 2)
 	p := arena.Port(0, nil)
-	for a := Addr(1); a < Addr(arena.Capacity()); a++ {
+	for a := Addr(1); a < Addr(arena.Size()); a++ {
 		p.Write(a, Word(a)+7)
 	}
+	sub := subs[1]
 	sub.Reset()
 	lo, hi := sub.Bounds()
-	for a := Addr(1); a < Addr(arena.Capacity()); a++ {
+	for a := Addr(1); a < Addr(arena.Size()); a++ {
 		want := Word(a) + 7
 		if a >= lo && a < hi {
 			want = 0
@@ -95,28 +159,6 @@ func TestSubArenaReset(t *testing.T) {
 			t.Fatalf("word %d = %d after resetting [%d,%d), want %d", a, v, lo, hi, want)
 		}
 	}
-	if got := sub.Words(); got != words {
-		t.Fatalf("Words() = %d after Reset, was %d: the allocator moved", got, words)
-	}
-}
-
-// TestSubArenaExhausted pins the region-specific exhaustion diagnostic:
-// overflowing a region must blame the region, not suggest resizing the
-// whole arena.
-func TestSubArenaExhausted(t *testing.T) {
-	arena := NewNativeArena(1, 4*LineWords)
-	sub := arena.Carve(1)
-	defer func() {
-		e := recover()
-		if e == nil {
-			t.Fatal("overflowing a 1-line region did not panic")
-		}
-		msg, ok := e.(string)
-		if !ok || !strings.Contains(msg, "sub-arena region exhausted") {
-			t.Fatalf("panic = %v, want a sub-arena exhaustion message", e)
-		}
-	}()
-	sub.Alloc(LineWords+1, HomeNone)
 }
 
 // TestVersionTableInvalidate: after a region recycle, a port that had
@@ -125,7 +167,8 @@ func TestSubArenaExhausted(t *testing.T) {
 func TestVersionTableInvalidate(t *testing.T) {
 	arena := NewNativeArena(1, 4*LineWords)
 	sub := arena.Carve(2)
-	a := sub.Alloc(1, 0)
+	lo, hi := sub.Bounds()
+	a := lo + 1
 	vt := NewVersionTable(arena.Capacity())
 	cp := CountPort(arena.Port(0, nil), vt, nil)
 	cp.Read(a)
@@ -135,7 +178,6 @@ func TestVersionTableInvalidate(t *testing.T) {
 		t.Fatalf("cached re-read charged an RMR (%d -> %d)", before.RMRs, got)
 	}
 	sub.Reset()
-	lo, hi := sub.Bounds()
 	vt.Invalidate(lo, hi)
 	cp.Read(a)
 	if got := cp.Counts().RMRs; got != before.RMRs+1 {

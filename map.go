@@ -14,15 +14,22 @@ import (
 
 // Map is a keyed lock manager: a dynamic set of named recoverable
 // mutexes for n processes, instantiated lazily and recycled as keys
-// churn. Each key gets its own full BA-Lock — the same algorithm a
-// Mutex wraps — built inside a sub-arena region carved from a shard's
-// arena segment, so per-key locks keep the cache-line padding and
+// churn. Each key gets the state of its own full BA-Lock — the same
+// algorithm a Mutex wraps — in a region carved from a shard's arena
+// segment, so per-key locks keep the cache-line padding and
 // deterministic NativeSizer-measured layout of a standalone Mutex.
+//
+// The Map builds one BA-Lock object, at NewMap, at a template layout.
+// A lock object holds only addresses, and a region holds the template's
+// words shifted by a constant, so every key runs that one object: a
+// process reaches its key's region through a port whose offset shifts
+// each template address into the region. Fail hooks and
+// ErrCrash.Op.Addr therefore see region-relative (template) addresses.
 //
 // Keys hash over a power-of-two number of shards. A shard's mutex
 // serializes only key-table bookkeeping (lookup, instantiation,
-// eviction); passages themselves run lock-free through the per-key
-// BA-Lock's ports, so contention on distinct keys never interacts.
+// eviction); passages themselves run lock-free through the region's
+// ports, so contention on distinct keys never interacts.
 //
 // Key lifecycle: a key is instantiated on first acquisition, stays live
 // while any process is engaged with it (acquiring, holding, or crashed
@@ -30,12 +37,11 @@ import (
 // needs a region for a new key it reuses a recycled one, carves a fresh
 // one from the current segment, or evicts the least-recently-used idle
 // key — growing a new segment only when every live key is pinned. A
-// region's lock is built once, when it is carved; a region is recycled
-// only at quiescence (no engaged process, no pending crashed claim), by
-// zeroing it, which leaves the lock as just built for the next key. A
-// process that crashed while holding or queued on a key therefore always
-// finds its lock state intact when it recovers, no matter how many other
-// keys churned in between.
+// region is recycled only at quiescence (no engaged process, no pending
+// crashed claim), by zeroing it, which leaves it a freshly built lock
+// for the next key. A process that crashed while holding or queued on a
+// key therefore always finds its lock state intact when it recovers, no
+// matter how many other keys churned in between.
 //
 // Process identifiers are 0..n-1 across the whole Map: at any moment at
 // most one goroutine may act as a given process, and a process runs at
@@ -48,8 +54,8 @@ type Map struct {
 	eng       engine
 	n         int
 	cfg       config
-	spec      core.LockSpec
-	slotLines int // region length of one per-key lock, in cache lines
+	lock      *core.BALock // every region's lock, at the template layout
+	slotLines int          // region length of one per-key lock, in cache lines
 	slotWords int
 	segSlots  int
 	shards    []*mapShard
@@ -77,22 +83,21 @@ type mapShard struct {
 // mapSegment is one fixed-capacity arena a shard carves per-key regions
 // from, with its own metrics recorder (per-key RMR accounting needs a
 // version table covering the segment) and lazily created per-process
-// ports.
+// ports, each shifted onto the region its process is engaged with.
 type mapSegment struct {
 	arena  *memory.NativeArena
 	rec    *metrics.Recorder // nil unless WithMetrics
-	ports  []memory.Port
+	ports  []shiftPort
 	carved int
 }
 
-// region is one carved region with the lock built in it, fixed for
-// life, and the lifecycle of the key last bound to it (guarded by the
-// owning shard's mu).
+// region is one carved region, fixed for life, and the lifecycle of the
+// key last bound to it (guarded by the owning shard's mu).
 type region struct {
 	shard *mapShard
 	seg   *mapSegment
 	sub   *memory.SubArena
-	lock  *core.BALock
+	off   memory.Addr // port offset putting the template's line 1 on the region's first line
 
 	key      string
 	refs     int    // processes engaged (procs[pid].e == this)
@@ -143,24 +148,26 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	}
 	cfg.levels = spec.Levels
 
-	// Measure one per-key lock's region footprint; every region is
-	// carved with exactly this line count and the construction replays
-	// into it deterministically, once per region.
-	szr := memory.NewSubSizer(n)
-	spec.Build(szr, n)
+	// Build the one lock at its template layout. Its words occupy the
+	// sizer's lines after the reserved null line, so that is the line
+	// count every region is carved with.
+	szr := memory.NewNativeSizer(n, true)
+	lock := spec.Build(szr, n)
+	slotLines := szr.Lines() - 1
 
 	ma := &Map{
 		eng:       newEngine(n, &cfg),
 		n:         n,
 		cfg:       cfg,
-		spec:      spec,
-		slotLines: szr.Lines(),
-		slotWords: szr.Lines() * memory.LineWords,
+		lock:      lock,
+		slotLines: slotLines,
+		slotWords: slotLines * memory.LineWords,
 		segSlots:  cfg.segSlots,
 		shards:    make([]*mapShard, shards),
 		mask:      uint32(shards - 1),
 	}
 	ma.eng.keys = ma
+	ma.eng.watch(lock)
 	for i := range ma.shards {
 		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*region)}
 	}
@@ -188,7 +195,7 @@ func (ma *Map) newSegment() *mapSegment {
 	capacity := (1 + ma.segSlots*ma.slotLines) * memory.LineWords
 	sg := &mapSegment{
 		arena: memory.NewNativeArena(ma.n, capacity),
-		ports: make([]memory.Port, ma.n),
+		ports: make([]shiftPort, ma.n),
 	}
 	if ma.cfg.metrics {
 		sg.rec = metrics.NewRecorder(ma.n, ma.cfg.levels+1, sg.arena.Capacity())
@@ -223,24 +230,21 @@ func (sh *mapShard) slotFor() *region {
 		}
 		sh.segments = append(sh.segments, sh.m.newSegment())
 	}
-	// Carve a region and build its lock: the only construction the
-	// region ever sees.
 	ma, sg := sh.m, sh.segments[len(sh.segments)-1]
 	sg.carved++
-	r := &region{shard: sh, seg: sg, sub: sg.arena.Carve(ma.slotLines), pending: make([]bool, ma.n)}
-	r.lock = ma.spec.Build(r.sub, ma.n)
-	ma.eng.watch(r.lock)
-	return r
+	sub := sg.arena.Carve(ma.slotLines)
+	lo, _ := sub.Bounds()
+	return &region{shard: sh, seg: sg, sub: sub, off: lo - memory.LineWords, pending: make([]bool, ma.n)}
 }
 
 // evictLocked evicts the least-recently-used idle key (no engaged
 // process, no pending crashed claim) and recycles its region, or returns
 // nil when every key is pinned. Recycling zeroes the region, which
-// returns its lock to the just-built state (the construction stored
-// nothing and the lock object holds only addresses), and with metrics on
-// marks the region's addresses as new memory, so no process's CC cache
-// survives into the next key's lock. mu, which every engagement takes to
-// start and to end, orders the zeroing against every port access.
+// returns it to the just-built state (the construction stored nothing),
+// and with metrics on marks the region's addresses as new memory, so no
+// process's CC cache survives into the next key's lock. mu, which every
+// engagement takes to start and to end, orders the zeroing against every
+// port access.
 func (sh *mapShard) evictLocked() *region {
 	var victim *region
 	for _, r := range sh.entries {
@@ -307,7 +311,9 @@ func (ma *Map) begin(pid int, key string) {
 		s.e = nil
 	}
 	r := ma.shardOf(key).acquire(pid, key)
-	s.e, s.lock, s.port, s.rec = r, r.lock, r.seg.ports[pid], r.seg.rec
+	port := r.seg.ports[pid]
+	port.SetOffset(r.off)
+	s.e, s.lock, s.port, s.rec = r, ma.lock, port, r.seg.rec
 }
 
 // finish releases pid's engagement after a clean passage end or a

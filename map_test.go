@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rme/internal/flight"
+	"rme/internal/memory"
 )
 
 func TestNewMapValidation(t *testing.T) {
@@ -78,6 +79,27 @@ func TestMapBasic(t *testing.T) {
 	st := ma.Stats()
 	if st.Keys != 3 || st.Instantiated != 3 || st.SlotWords != ma.SlotWords() {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestMapRegionOffsets: every key runs the one template lock, so each
+// region's port offset must map the template's span — the lines after
+// the sizer's null line — onto exactly the region. An offset one line
+// off would put the template's last line in the next key's region.
+func TestMapRegionOffsets(t *testing.T) {
+	ma, err := NewMap(4, WithShards(1), WithSegmentSlots(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		ma.Passage(0, k, func() {})
+	}
+	for k, r := range ma.shards[0].entries {
+		lo, hi := r.sub.Bounds()
+		first, end := r.off+memory.LineWords, r.off+memory.LineWords+memory.Addr(ma.slotWords)
+		if first != lo || end != hi {
+			t.Errorf("key %q: offset %d maps the template onto [%d,%d), region is [%d,%d)", k, r.off, first, end, lo, hi)
+		}
 	}
 }
 
@@ -439,6 +461,41 @@ func TestMapRecycleMatchesFreshLock(t *testing.T) {
 		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[41] != 1 {
 			t.Errorf("base %d: a fresh Mutex's first passage is not 41 RMRs: %v", base, ms.RMRs)
 		}
+	}
+}
+
+// TestMapCarveAllocs: carving a region builds no lock, so a passage on
+// a fresh key makes the same few allocations at every n — the region,
+// its pending-claim slice and the sub-arena.
+func TestMapCarveAllocs(t *testing.T) {
+	const runs = 500
+	keys := make([]string, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range keys {
+		keys[i] = "carve-" + strconv.Itoa(i)
+	}
+	per := map[int]float64{}
+	for _, n := range []int{2, 8} {
+		ma, err := NewMap(n, WithShards(1), WithSegmentSlots(4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		per[n] = testing.AllocsPerRun(runs, func() {
+			if !ma.Passage(0, keys[next], func() {}) {
+				t.Fatal("passage failed without injection")
+			}
+			next++
+		})
+		if st := ma.Stats(); st.Instantiated != runs+1 || st.Recycled != 0 || st.Segments != 1 {
+			t.Fatalf("n=%d: instantiated/recycled/segments = %d/%d/%d, want %d carves in one segment",
+				n, st.Instantiated, st.Recycled, st.Segments, runs+1)
+		}
+		if per[n] > 3 {
+			t.Errorf("n=%d: %v allocations per carve, want at most 3", n, per[n])
+		}
+	}
+	if per[2] != per[8] {
+		t.Errorf("allocations per carve depend on n: %v at n=2, %v at n=8", per[2], per[8])
 	}
 }
 

@@ -57,10 +57,18 @@ func newEngine(n int, cfg *config) engine {
 	return g
 }
 
+// shiftPort is a port whose frame a Map shifts onto a region
+// (NativePort.SetOffset): the native port, or the counting wrapper
+// around it.
+type shiftPort interface {
+	memory.Port
+	SetOffset(off memory.Addr)
+}
+
 // port creates process pid's port onto arena: failure injection, the
 // cancellation poll, label observation for the flight recorder, and the
 // counting wrapper when rec is non-nil.
-func (g *engine) port(arena *memory.NativeArena, pid int, rec *metrics.Recorder) memory.Port {
+func (g *engine) port(arena *memory.NativeArena, pid int, rec *metrics.Recorder) shiftPort {
 	np := arena.Port(pid, g.fail)
 	s := &g.procs[pid]
 	np.SetAbortHook(func(int) bool {

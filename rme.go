@@ -66,8 +66,7 @@ type config struct {
 
 // lockSpec resolves the configured base, levels and node sourcing into a
 // reusable build recipe (filling in the paper's default depth for the
-// base), shared by New (one lock, one arena) and NewMap (one lock per
-// key, stamped into sub-arenas).
+// base), shared by New and NewMap, which each build one lock from it.
 func (cfg *config) lockSpec(n int) (core.LockSpec, error) {
 	levels := cfg.levels
 	if levels == 0 {
