@@ -28,13 +28,17 @@ import (
 func BenchmarkNativeUncontended(b *testing.B) {
 	for _, tc := range []struct {
 		name string
+		n    int
 		base rme.Base
 	}{
-		{"ba-tournament", rme.BaseTournament},
-		{"ba-arbtree", rme.BaseArbTree},
+		{"ba-tournament", 1, rme.BaseTournament},
+		{"ba-arbtree", 1, rme.BaseArbTree},
+		// rme.New(8), the lock of every rmeperf workload: one process
+		// alone on it runs mutex-solo's passage.
+		{"n=8", 8, rme.BaseTournament},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m, err := rme.New(1, rme.WithBase(tc.base))
+			m, err := rme.New(tc.n, rme.WithBase(tc.base))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -241,26 +241,31 @@ func (a *NativeArena) Port(pid int, fail FailFunc) *NativePort {
 
 // NativePort is a process's view of a NativeArena.
 //
-// Every instruction reads the fields of the first cache line and writes
-// label. The struct fills two whole lines, so a port shares no line with
-// another process's port, which would otherwise stall both processes on
-// every instruction.
+// An instruction on a port without a fail hook runs the inlined guard
+// (fast) and its atomic, nothing else; the bound refresh and the fail
+// hook run out of line in step. The guard's fields sit in the first
+// cache line. The struct fills two whole lines, so a port shares no line
+// with another process's port, which would otherwise stall both
+// processes on every instruction.
 type NativePort struct {
 	// words is the arena seen from the port's frame, arena.words[off:]:
 	// port address a names arena word off+a (SetOffset). Indexing the
 	// view, not the arena, keeps the shift off the instructions.
-	words   []atomic.Uint64
-	label   string
-	onLabel func(label string)
-	fail    FailFunc
+	words []atomic.Uint64
 	// bound caches the arena's allocation bound, in the port's frame, so
 	// the hot path validates addresses with a register compare instead of
 	// re-reading the shared counter on every instruction; refreshed on
 	// miss (the arena only grows).
 	bound int64
+	// fail, when set, is asked before every instruction, so it sends
+	// every instruction to step.
+	fail    FailFunc
+	onLabel func(label string)
+	arena   *NativeArena
+	pid     int
 
-	arena *NativeArena
-	pid   int
+	// label is the pending label, kept only for the fail hook.
+	label string
 	abort AbortFunc
 	off   Addr
 	// spin is the Pause backoff ladder position.
@@ -299,8 +304,16 @@ func (p *NativePort) SetOffset(off Addr) {
 	p.bound = p.arena.bound() - int64(off)
 }
 
-// Label implements Port.
-func (p *NativePort) Label(l string) { p.label = l }
+// Label implements Port. The label hook observes l here, and the label
+// is kept for the next instruction only when a fail hook will read it.
+func (p *NativePort) Label(l string) {
+	if l != "" && p.onLabel != nil {
+		p.onLabel(l)
+	}
+	if p.fail != nil {
+		p.label = l
+	}
+}
 
 // SetAbortHook installs the abort poll consulted by Pause (nil removes
 // it). The hook runs on the port's goroutine; when it returns true, Pause
@@ -309,12 +322,13 @@ func (p *NativePort) Label(l string) { p.label = l }
 // pay a single nil comparison per Pause.
 func (p *NativePort) SetAbortHook(h AbortFunc) { p.abort = h }
 
-// SetLabelHook installs a callback observing the label of every labeled
-// instruction the port executes, invoked just before the instruction's
-// memory effect (and before any fail-point decision, matching the
-// CountingPort's observation order). The hook runs on the port's
-// goroutine; nil removes it. Observers such as the flight recorder hang
-// off this seam so the unlabeled hot path stays a nil comparison.
+// SetLabelHook installs a callback observing every non-empty label the
+// port's process issues. Label invokes it, so it runs before the labeled
+// instruction's memory effect and fail-point decision, the order the
+// CountingPort observes in. The hook runs on the port's goroutine; nil
+// removes it. Observers such as the flight recorder hang off this seam:
+// observing costs one call per labeled instruction and sends no
+// instruction off the inlined fast path.
 func (p *NativePort) SetLabelHook(h func(label string)) { p.onLabel = h }
 
 // pauseSpinMax bounds the busy-wait ladder: 1<<0 .. 1<<pauseSpinMax empty
@@ -351,20 +365,28 @@ func (p *NativePort) Pause() {
 	runtime.Gosched()
 }
 
+// fast is the inlined guard of Read, Write, FAS and CAS: the instruction
+// goes straight to its atomic when the address is valid under the cached
+// bound and no fail hook waits on it. CI checks that it stays inlined.
+func (p *NativePort) fast(a Addr) bool {
+	return a != Nil && int64(a) < p.bound && p.fail == nil
+}
+
+// step is the out-of-line rest of an instruction the guard turned away:
+// it refreshes the bound and asks the fail hook whether to crash.
 func (p *NativePort) step(k OpKind, addr Addr) {
 	if addr == Nil || int64(addr) >= p.bound {
 		p.refreshBound(addr)
 	}
-	label := p.label
-	p.label = ""
-	if label != "" && p.onLabel != nil {
-		p.onLabel(label)
+	if p.fail == nil {
+		return
 	}
-	if p.fail != nil {
-		op := OpInfo{Kind: k, Addr: addr, Label: label}
-		if p.fail(p.pid, op) {
-			panic(ErrCrash{PID: p.pid, Op: op})
-		}
+	op := OpInfo{Kind: k, Addr: addr}
+	if p.label != "" {
+		op.Label, p.label = p.label, ""
+	}
+	if p.fail(p.pid, op) {
+		panic(ErrCrash{PID: p.pid, Op: op})
 	}
 }
 
@@ -382,25 +404,33 @@ func (p *NativePort) refreshBound(addr Addr) {
 
 // Read implements Port.
 func (p *NativePort) Read(a Addr) Word {
-	p.step(OpRead, a)
+	if !p.fast(a) {
+		p.step(OpRead, a)
+	}
 	return p.words[a].Load()
 }
 
 // Write implements Port.
 func (p *NativePort) Write(a Addr, v Word) {
-	p.step(OpWrite, a)
+	if !p.fast(a) {
+		p.step(OpWrite, a)
+	}
 	p.words[a].Store(v)
 }
 
 // FAS implements Port.
 func (p *NativePort) FAS(a Addr, v Word) Word {
-	p.step(OpFAS, a)
+	if !p.fast(a) {
+		p.step(OpFAS, a)
+	}
 	return p.words[a].Swap(v)
 }
 
 // CAS implements Port.
 func (p *NativePort) CAS(a Addr, old, new Word) bool {
-	p.step(OpCAS, a)
+	if !p.fast(a) {
+		p.step(OpCAS, a)
+	}
 	return p.words[a].CompareAndSwap(old, new)
 }
 

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -128,6 +129,117 @@ func TestCachedBoundRefreshes(t *testing.T) {
 	mustPanic(t, "nil", func() { p.Read(Nil) })
 }
 
+// TestNativeHookContract pins what a NativePort's hooks see. A label
+// hook observes each non-empty label once, before its own instruction's
+// memory effect, and never on the next instruction; a fail hook sees the
+// label in OpInfo on its instruction only; with both, both see it, the
+// label hook first. A port with neither hook keeps no label, so a hook
+// installed later observes nothing stale. Without hooks every
+// instruction still rejects Nil and addresses past the bound, and
+// accepts addresses the arena grew into after the port was made.
+func TestNativeHookContract(t *testing.T) {
+	a := NewNativeArena(1, 16*LineWords)
+	x := a.Alloc(1, 0)
+	// The ops run one instruction of each kind on x: Write sets 1, FAS
+	// sets 2, CAS turns 2 into 3, and Read leaves 3.
+	ops := []struct {
+		name string
+		run  func(p *NativePort)
+	}{
+		{"write", func(p *NativePort) { p.Write(x, 1) }},
+		{"fas", func(p *NativePort) { p.FAS(x, 2) }},
+		{"cas", func(p *NativePort) { p.CAS(x, 2, 3) }},
+		{"read", func(p *NativePort) { p.Read(x) }},
+	}
+	// run labels each op's instruction with the op's name, except the
+	// first, which gets the empty label, and follows each with an
+	// unlabeled Read. It returns what the hooks recorded, each entry as
+	// hook:label@x, x read when the hook ran.
+	run := func(p *NativePort, seen *[]string) []string {
+		for i, op := range ops {
+			label := op.name
+			if i == 0 {
+				label = ""
+			}
+			p.Label(label)
+			op.run(p)
+			p.Read(x)
+		}
+		return *seen
+	}
+	record := func(seen *[]string, who string) func(string) {
+		return func(l string) { *seen = append(*seen, fmt.Sprintf("%s:%s@%d", who, l, a.Peek(x))) }
+	}
+	check := func(t *testing.T, got []string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("hooks saw %q, want %q", got, want)
+		}
+	}
+
+	t.Run("label", func(t *testing.T) {
+		a.Port(0, nil).Write(x, 0)
+		var seen []string
+		p := a.Port(0, nil)
+		p.SetLabelHook(record(&seen, "label"))
+		check(t, run(p, &seen), "label:fas@1", "label:cas@2", "label:read@3")
+		if p.label != "" {
+			t.Errorf("a port without a fail hook kept label %q", p.label)
+		}
+	})
+	t.Run("fail", func(t *testing.T) {
+		a.Port(0, nil).Write(x, 0)
+		var seen []string
+		p := a.Port(0, func(_ int, op OpInfo) bool {
+			seen = append(seen, fmt.Sprintf("fail:%s@%d", op.Label, a.Peek(x)))
+			return false
+		})
+		check(t, run(p, &seen),
+			"fail:@0", "fail:@1", "fail:fas@1", "fail:@2", "fail:cas@2", "fail:@3", "fail:read@3", "fail:@3")
+	})
+	t.Run("both", func(t *testing.T) {
+		a.Port(0, nil).Write(x, 0)
+		var seen []string
+		fail := record(&seen, "fail")
+		p := a.Port(0, func(_ int, op OpInfo) bool { fail(op.Label); return false })
+		p.SetLabelHook(record(&seen, "label"))
+		check(t, run(p, &seen),
+			"fail:@0", "fail:@1",
+			"label:fas@1", "fail:fas@1", "fail:@2",
+			"label:cas@2", "fail:cas@2", "fail:@3",
+			"label:read@3", "fail:read@3", "fail:@3")
+	})
+	t.Run("neither", func(t *testing.T) {
+		p := a.Port(0, nil)
+		p.Label("stale")
+		if p.label != "" {
+			t.Errorf("a port without hooks kept label %q", p.label)
+		}
+		var seen []string
+		p.SetLabelHook(record(&seen, "label"))
+		p.Write(x, 0)
+		check(t, seen)
+	})
+	t.Run("unhooked-bounds", func(t *testing.T) {
+		p := a.Port(0, nil)
+		past := Addr(a.Capacity())
+		for _, op := range []struct {
+			name string
+			run  func(a Addr)
+		}{
+			{"read", func(a Addr) { p.Read(a) }},
+			{"write", func(a Addr) { p.Write(a, 1) }},
+			{"fas", func(a Addr) { p.FAS(a, 1) }},
+			{"cas", func(a Addr) { p.CAS(a, 0, 1) }},
+		} {
+			mustPanic(t, op.name+" nil", func() { op.run(Nil) })
+			mustPanic(t, op.name+" past the bound", func() { op.run(past - 1) })
+			y := a.Alloc(1, HomeNone) // beyond the bound p has cached
+			op.run(y)
+		}
+	})
+}
+
 func TestPauseBackoffLadder(t *testing.T) {
 	// Force the multicore path so the ladder is exercised even on a
 	// single-CPU machine (where Pause skips spinning entirely).
@@ -151,7 +263,7 @@ func TestPauseBackoffLadder(t *testing.T) {
 		t.Fatal("spin ladder never reached its top rung")
 	}
 
-	// Uniprocessor (and legacy-layout) ports must not spin at all.
+	// Uniprocessor ports must not spin at all.
 	runtime.GOMAXPROCS(1)
 	q := a.Port(0, nil)
 	for i := 0; i < 10; i++ {
@@ -286,11 +398,12 @@ func TestNativeConcurrentAlloc(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPortsFillWholeLines: a port's fields are read, and its label or
-// counters written, on every instruction, so a port must share no cache
-// line with another process's port. Both port types fill whole lines,
-// which the allocator's size classes keep line aligned, and a
-// NativePort's per-instruction fields sit in its first line.
+// TestPortsFillWholeLines: a port's fields are read on every
+// instruction, and written by its process (a CountingPort's counters on
+// every instruction), so a port must share no cache line with another
+// process's port. Both port types fill whole lines, which the
+// allocator's size classes keep line aligned, and every field a
+// NativePort's inlined guard reads sits in its first line.
 func TestPortsFillWholeLines(t *testing.T) {
 	const lineBytes = LineWords * 8
 	for name, size := range map[string]uintptr{
@@ -302,7 +415,13 @@ func TestPortsFillWholeLines(t *testing.T) {
 		}
 	}
 	var p NativePort
-	if end := unsafe.Offsetof(p.bound) + unsafe.Sizeof(p.bound); end > lineBytes {
-		t.Errorf("NativePort's per-instruction fields end at byte %d, past its first line", end)
+	for name, end := range map[string]uintptr{
+		"words": unsafe.Offsetof(p.words) + unsafe.Sizeof(p.words),
+		"bound": unsafe.Offsetof(p.bound) + unsafe.Sizeof(p.bound),
+		"fail":  unsafe.Offsetof(p.fail) + unsafe.Sizeof(p.fail),
+	} {
+		if end > lineBytes {
+			t.Errorf("NativePort.%s, read by the inlined guard, ends at byte %d, past the first line", name, end)
+		}
 	}
 }

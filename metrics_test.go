@@ -173,31 +173,45 @@ func TestRaceStressMetrics(t *testing.T) {
 
 // TestMetricsLabeledFailures pins WithLabeledFailures: a hook keyed on
 // the filter FAS label fires, the crash is accounted, and the passage
-// completes on retry.
+// completes on retry. Composed with WithFailures, either hook crashes the
+// process.
 func TestMetricsLabeledFailures(t *testing.T) {
-	fired := false
-	hook := func(pid int, label string) bool {
-		if !fired && label == "F1:fas" {
-			fired = true
-			return true
+	for _, plainToo := range []bool{false, true} {
+		fired := false
+		hook := func(pid int, label string) bool {
+			if !fired && label == "F1:fas" {
+				fired = true
+				return true
+			}
+			return false
 		}
-		return false
-	}
-	m, err := rme.New(2, rme.WithMetrics(), rme.WithLabeledFailures(hook))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	for !m.Passage(0, func() { got++ }) {
-	}
-	if !fired {
-		t.Fatal("labeled hook never saw the filter FAS")
-	}
-	if got != 1 {
-		t.Fatalf("critical section ran %d times, want 1", got)
-	}
-	s, _ := m.MetricsSnapshot()
-	if s.Crashes != 1 || s.Passages != 1 || s.Recoveries != 1 {
-		t.Fatalf("snapshot %+v, want 1 crash, 1 passage, 1 recovery", s)
+		opts := []rme.Option{rme.WithMetrics(), rme.WithLabeledFailures(hook)}
+		crashes := 1
+		if plainToo {
+			plainFired := false
+			opts = append(opts, rme.WithFailures(func(pid int) bool {
+				defer func() { plainFired = true }()
+				return !plainFired
+			}))
+			crashes = 2
+		}
+		m, err := rme.New(2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for !m.Passage(0, func() { got++ }) {
+		}
+		if !fired {
+			t.Fatalf("plain hook too = %v: labeled hook never saw the filter FAS", plainToo)
+		}
+		if got != 1 {
+			t.Fatalf("plain hook too = %v: critical section ran %d times, want 1", plainToo, got)
+		}
+		s, _ := m.MetricsSnapshot()
+		if int(s.Crashes) != crashes || s.Passages != 1 || int(s.Recoveries) != crashes {
+			t.Fatalf("plain hook too = %v: snapshot %+v, want %d crashes, 1 passage, %d recoveries",
+				plainToo, s, crashes, crashes)
+		}
 	}
 }

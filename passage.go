@@ -45,10 +45,15 @@ type proc struct {
 
 func newEngine(n int, cfg *config) engine {
 	g := engine{procs: make([]proc, n)}
-	if plain, labeled := cfg.fail, cfg.labelFail; plain != nil || labeled != nil {
-		g.fail = func(pid int, op memory.OpInfo) bool {
-			return plain != nil && plain(pid) || labeled != nil && labeled(pid, op.Label)
-		}
+	// The fail hook runs before every instruction of a hooked port, so it
+	// is built from only the options that are set.
+	switch plain, labeled := cfg.fail, cfg.labelFail; {
+	case plain != nil && labeled != nil:
+		g.fail = func(pid int, op memory.OpInfo) bool { return plain(pid) || labeled(pid, op.Label) }
+	case plain != nil:
+		g.fail = func(pid int, _ memory.OpInfo) bool { return plain(pid) }
+	case labeled != nil:
+		g.fail = func(pid int, op memory.OpInfo) bool { return labeled(pid, op.Label) }
 	}
 	if cfg.tracing {
 		g.fr = flight.NewRecorder(n, cfg.tracingOpts.RingSize)
@@ -80,7 +85,11 @@ func (g *engine) port(arena *memory.NativeArena, pid int, rec *metrics.Recorder)
 		}
 	})
 	if fr := g.fr; fr != nil {
-		np.SetLabelHook(func(l string) { fr.ObserveLabel(pid, l) })
+		np.SetLabelHook(func(l string) {
+			if fr.Enabled() {
+				fr.ObserveLabel(pid, l)
+			}
+		})
 	}
 	if rec != nil {
 		return rec.Port(np)
@@ -92,7 +101,9 @@ func (g *engine) port(arena *memory.NativeArena, pid int, rec *metrics.Recorder)
 func (g *engine) watch(lock *core.BALock) {
 	if fr := g.fr; fr != nil {
 		lock.SetPhaseHook(func(pid int, ph core.PhaseKind, level int) {
-			fr.Phase(pid, flightPhaseKind(ph), level)
+			if fr.Enabled() {
+				fr.Phase(pid, flightPhaseKind(ph), level)
+			}
 		})
 	}
 }
@@ -219,11 +230,17 @@ type observer struct {
 
 func (g *engine) observer(s *proc) observer { return observer{s.rec, g.fr} }
 
+// recording reports whether the flight recorder is present and enabled.
+// The Recorder's methods are too large to inline, so testing the flag
+// here, and in the hooks above, keeps a disabled recorder at one flag
+// load per site instead of a call.
+func (o observer) recording() bool { return o.fr != nil && o.fr.Enabled() }
+
 func (o observer) start(pid int) {
 	if o.rec != nil {
 		o.rec.PassageStart(pid)
 	}
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.PassageBegin(pid)
 	}
 }
@@ -232,7 +249,7 @@ func (o observer) end(pid int) {
 	if o.rec != nil {
 		o.rec.PassageEnd(pid)
 	}
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.PassageEnd(pid)
 	}
 }
@@ -241,7 +258,7 @@ func (o observer) abort(pid int) {
 	if o.rec != nil {
 		o.rec.Abort(pid)
 	}
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.Abort(pid)
 	}
 }
@@ -250,19 +267,19 @@ func (o observer) crash(pid int) {
 	if o.rec != nil {
 		o.rec.Crash(pid)
 	}
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.Crash(pid)
 	}
 }
 
 func (o observer) csEnter(pid int) {
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.CSEnter(pid)
 	}
 }
 
 func (o observer) csExit(pid int) {
-	if o.fr != nil {
+	if o.recording() {
 		o.fr.CSExit(pid)
 	}
 }

@@ -190,9 +190,11 @@ type TracingOptions struct {
 // per-phase latency histograms. Inspect with FlightRecording (dump for
 // cmd/rmetrace) and FlightProfile. When the option is absent every
 // instrumentation site costs one nil check; when present but disabled
-// via SetTracing(false), one atomic flag load. Recording itself never
-// issues shared-memory instructions, so it adds no RMRs in the CC cost
-// model and no crash points.
+// via SetTracing(false), one atomic flag load, and each labeled
+// instruction (two in a failure-free passage) also makes one call to
+// the label observer. Recording itself never issues shared-memory
+// instructions, so it adds no RMRs in the CC cost model and no crash
+// points.
 func WithTracing(opts TracingOptions) Option {
 	return func(c *config) { c.tracing = true; c.tracingOpts = opts }
 }
