@@ -287,29 +287,3 @@ func BenchmarkReclaimSpace(b *testing.B) {
 		})
 	}
 }
-
-// --- Section 7.3: super-passage cost under repeated self-crashes ------------
-
-func BenchmarkSuperPassage(b *testing.B) {
-	for _, f0 := range []int{0, 4} {
-		b.Run(fmt.Sprintf("F0=%d", f0), func(b *testing.B) {
-			var plan func(int) sim.FailurePlan
-			if f0 > 0 {
-				ff := f0
-				plan = func(n int) sim.FailurePlan {
-					return &sim.RandomFailures{Rate: 0.05, MaxTotal: ff, MaxPerProcess: ff, DuringPassage: true}
-				}
-			}
-			var last bench.Metrics
-			for i := 0; i < b.N; i++ {
-				m, err := bench.Run(bench.Point{Lock: "ba-log", N: 8, Model: memory.CC,
-					Requests: 4, Seed: int64(i + 1), Plan: plan})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = m
-			}
-			b.ReportMetric(float64(last.ReqMax), "RMRs/super-passage-max")
-		})
-	}
-}

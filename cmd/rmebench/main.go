@@ -133,9 +133,6 @@ var experiments = []experiment{
 	{"reclaim", "Section 7.2: bounded space via reclamation", func(o options) error {
 		return show(o, bench.Reclaim(o.opts))
 	}},
-	{"superpassage", "Section 7.3: super-passage cost under repeated self-crashes", func(o options) error {
-		return show(o, bench.SuperPassage(o.opts))
-	}},
 	{"metrics", "exact CC-model RMR and level distributions on the native backend, swept over workers and failures F (BENCH_metrics.json)", report(bench.PassageMetrics)},
 	{"tracing", "flight-recorder overhead A/B: absent vs disabled vs recording (BENCH_tracing.json; -check bounds off at 5%)", report(bench.Tracing)},
 	{"abort", "abortable passages: failure-free and back-out RMRs at abort rates 0/1%/10% (BENCH_abort.json)", report(bench.AbortCost)},

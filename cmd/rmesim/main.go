@@ -16,7 +16,7 @@
 // The available locks are listed with -list.
 //
 // With -repro, rmesim instead replays a recorded violation artifact
-// (written by cmd/soak or cmd/rmesweep) bit-exactly through the serialized
+// (written by cmd/rmesweep) bit-exactly through the serialized
 // scheduler and re-derives the check verdict:
 //
 //	rmesim -repro repro-wr-CC-seed17.json [-timeline]

@@ -1,6 +1,6 @@
 // Command rmetrace renders dumped flight recordings (rme-flight/v1 JSON,
-// written by Mutex.FlightRecording + WriteFile, or by cmd/soak as a
-// post-mortem alongside a violation repro).
+// written by Mutex.FlightRecording + WriteFile, or by rmesweep -random as
+// a post-mortem alongside a violation repro).
 //
 // Usage:
 //

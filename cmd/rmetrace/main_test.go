@@ -15,9 +15,9 @@ import (
 	"rme/internal/trace"
 )
 
-// writeDump produces a recording file the way cmd/soak's post-mortem path
-// does: a simulated run with an injected crash, converted through
-// trace.SimRecording and trimmed with Tail.
+// writeDump produces a recording file the way rmesweep -random's
+// post-mortem path does: a simulated run with an injected crash,
+// converted through trace.SimRecording and trimmed with Tail.
 func writeDump(t *testing.T, dir string) string {
 	t.Helper()
 	r, err := sim.New(sim.Config{N: 3, Model: memory.CC, Requests: 2, Seed: 5,

@@ -237,139 +237,6 @@ func Reclaim(o Opts) *Table {
 	return t
 }
 
-// victimSlowCrash crashes the victim process immediately after each of its
-// slow-path commitments, up to Total times — i.e. exactly when the victim
-// is escalated and a restart is most expensive. It is the adversary the
-// Section 7.3 discussion contemplates.
-type victimSlowCrash struct {
-	PID   int
-	Total int
-
-	pending bool
-	done    int
-}
-
-func (p *victimSlowCrash) Crash(ctx sim.StepCtx) bool {
-	if p.pending && ctx.PID == p.PID {
-		p.pending = false
-		p.done++
-		return true
-	}
-	return false
-}
-
-func (p *victimSlowCrash) Observe(ctx sim.StepCtx) {
-	if p.done >= p.Total || p.pending || ctx.PID != p.PID || !ctx.IsOp {
-		return
-	}
-	l := ctx.Op.Label
-	if len(l) > 5 && l[len(l)-5:] == ":slow" {
-		p.pending = true
-	}
-}
-
-// SuperPassage regenerates the Section 7.3 discussion: the total RMR cost
-// of one process's super-passage when that process crashes F₀ times while
-// escalated (right after committing to a slow path), under concurrent
-// unsafe failures that keep escalation pressure on. Without the
-// optimization each restart replays every level (O(F₀·depth)); with the
-// last-known-level memo each restart resumes at the deepest level
-// (O(F₀ + depth)).
-func SuperPassage(o Opts) *Table {
-	o.fill()
-	t := &Table{
-		Title: fmt.Sprintf("Super-passage cost (§7.3): victim crashes right after escalating (CC, n=%d)", o.N),
-		Columns: []string{"F0 (victim crashes)", "ba-log mean req RMRs", "ba-memo mean req RMRs",
-			"ba-log mean req ops", "ba-memo mean req ops"},
-		Notes: []string{
-			"without level memoization a super-passage costs O(F0·min{√F, T(n)});",
-			"with the last-known-level memo (ba-memo) it drops to O(F0 + min{√F, T(n)})",
-			"at shallow depths the replayed levels are mostly cache hits, so the two variants measure",
-			"within noise of each other in RMRs; op counts include busy-wait iterations and are",
-			"schedule-sensitive — the memo's shorter recovery walk is structural (see the memo tests)",
-		},
-	}
-	for _, f0 := range []int{0, 1, 2, 4} {
-		f0 := f0
-		plan := func(n int) sim.FailurePlan {
-			ps := sim.PlanSeq{
-				// Escalation pressure: unsafe failures of other processes.
-				&sim.UnsafeBudget{Total: 8, Rate: 0.3, MaxPerProcess: 1},
-			}
-			if f0 > 0 {
-				ps = append(ps, &victimSlowCrash{PID: 0, Total: f0})
-			}
-			return ps
-		}
-		row := []interface{}{f0}
-		var rmrs, ops []interface{}
-		for _, lk := range []string{"ba-log", "ba-memo"} {
-			var sumR, sumO float64
-			var cnt int
-			ok := true
-			for _, seed := range o.Seeds {
-				rs, os, err := victimRequests(Point{Lock: lk, N: o.N, Model: memory.CC,
-					Requests: o.Requests, Seed: seed, Plan: plan})
-				if err != nil {
-					ok = false
-					break
-				}
-				for i := range rs {
-					sumR += float64(rs[i])
-					sumO += float64(os[i])
-					cnt++
-				}
-			}
-			if !ok || cnt == 0 {
-				rmrs = append(rmrs, "ERR")
-				ops = append(ops, "-")
-				continue
-			}
-			rmrs = append(rmrs, sumR/float64(cnt))
-			ops = append(ops, sumO/float64(cnt))
-		}
-		row = append(row, rmrs...)
-		row = append(row, ops...)
-		t.Add(row...)
-	}
-	return t
-}
-
-// victimRequests runs one point and returns the per-request RMR and
-// instruction totals of process 0.
-func victimRequests(pt Point) (rmrs, ops []int64, err error) {
-	spec, err := workload.Lookup(pt.Lock)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := sim.Config{N: pt.N, Model: pt.Model, Requests: pt.Requests, Seed: pt.Seed,
-		MaxSteps: 20_000_000, RecordOps: true}
-	if pt.Plan != nil {
-		cfg.Plan = pt.Plan(pt.N)
-	}
-	r, err := sim.New(cfg, spec.New)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := r.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	opsByReq := map[int]int64{}
-	for _, p := range res.Passages {
-		if p.PID == 0 {
-			opsByReq[p.Request] += p.Ops
-		}
-	}
-	for _, q := range res.Requests {
-		if q.PID == 0 {
-			rmrs = append(rmrs, q.RMRs)
-			ops = append(ops, opsByReq[q.Index])
-		}
-	}
-	return rmrs, ops, nil
-}
-
 // Responsiveness regenerates Theorem 4.2 empirically: the weakly
 // recoverable lock's worst simultaneous CS occupancy against the number of
 // injected unsafe failures.

@@ -44,8 +44,7 @@ type Metrics struct {
 	AffMax   int64   // max RMRs over passages overlapping a failure's consequence interval
 	AffMean  float64 // mean over the same set (0 when no failures)
 	ReqMean  float64 // mean RMRs per super-passage
-	ReqMax   int64
-	MaxDepth int // deepest escalation level reached (1 = none)
+	MaxDepth int     // deepest escalation level reached (1 = none)
 	CheckErr error
 }
 
@@ -105,7 +104,6 @@ func Run(pt Point) (Metrics, error) {
 		AffMax:   aff.Max,
 		AffMean:  aff.Mean,
 		ReqMean:  req.Mean,
-		ReqMax:   req.Max,
 		MaxDepth: 1,
 	}
 	if pt.RecordOps && spec.SlowLabels != nil {
@@ -143,9 +141,6 @@ func RunSeeds(pt Point, seeds []int64) (Metrics, error) {
 		}
 		if m.AllMax > agg.AllMax {
 			agg.AllMax = m.AllMax
-		}
-		if m.ReqMax > agg.ReqMax {
-			agg.ReqMax = m.ReqMax
 		}
 		if m.AffMax > agg.AffMax {
 			agg.AffMax = m.AffMax

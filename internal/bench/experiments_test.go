@@ -103,10 +103,6 @@ func TestReclaimSmoke(t *testing.T) {
 	}
 }
 
-func TestSuperPassageSmoke(t *testing.T) {
-	assertClean(t, "superpassage", SuperPassage(tinyOpts()).String())
-}
-
 func TestScaleSmoke(t *testing.T) {
 	tb := Scale(Opts{Requests: 2, Seeds: []int64{1}})
 	assertClean(t, "scale", tb.String())

@@ -25,16 +25,15 @@ func assertRowArity(t *testing.T, name string, tb *Table) {
 // allExperiments builds every table-producing experiment at tiny scale.
 func allExperiments(o Opts) map[string]*Table {
 	m := map[string]*Table{
-		"adaptivity":   Adaptivity(o),
-		"escalation":   Escalation(o),
-		"batch":        Batch(o),
-		"components":   Components(),
-		"reclaim":      Reclaim(o),
-		"superpassage": SuperPassage(o),
-		"respons":      Responsiveness(o),
-		"scale":        Scale(Opts{Requests: o.Requests, Seeds: o.Seeds}),
-		"ablation":     Ablation(o),
-		"table2":       Table2(Opts{Requests: o.Requests, Seeds: o.Seeds}),
+		"adaptivity": Adaptivity(o),
+		"escalation": Escalation(o),
+		"batch":      Batch(o),
+		"components": Components(),
+		"reclaim":    Reclaim(o),
+		"respons":    Responsiveness(o),
+		"scale":      Scale(Opts{Requests: o.Requests, Seeds: o.Seeds}),
+		"ablation":   Ablation(o),
+		"table2":     Table2(Opts{Requests: o.Requests, Seeds: o.Seeds}),
 	}
 	for i, tb := range Table1(o) {
 		m[fmt.Sprintf("table1/%d", i)] = tb

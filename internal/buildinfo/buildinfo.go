@@ -1,6 +1,6 @@
 // Package buildinfo identifies the binary: a VCS revision injected at
 // link time plus the Go toolchain version. Every long-running entry
-// point (rmeserver, soak, rmebench) exposes it behind a -version flag,
+// point (rmeserver, rmebench) exposes it behind a -version flag,
 // and the Prometheus exporter surfaces it as the rme_build_info gauge so
 // dashboards can correlate metric shifts with deploys.
 package buildinfo

@@ -24,18 +24,14 @@ type SourceFactory func(sp memory.Space, n int, level int) NodeSource
 // whose super-passage overlaps at most F failures costs
 // O(min{√F, T(n)}) RMRs (Theorem 5.18), where T(n) is the base lock's
 // worst-case RMR complexity.
+//
+// Section 7.3's last-known-level memo is not built: its write in Exit
+// would cost every failure-free passage one more RMR, and a recovering
+// process replays every level from level 1 (EXPERIMENTS §7.3).
 type BALock struct {
 	n      int
 	levels []*SALock // levels[0] is level 1, the outermost
 	base   RecoverableLock
-
-	// memo, when non-nil, holds each process's last known level
-	// (Section 7.3): the deepest level it has committed to in its
-	// current super-passage. Recovery then resumes directly at that
-	// level instead of replaying every shallower level, reducing the
-	// worst-case super-passage cost from O(F₀·min{√F, T(n)}) to
-	// O(F₀ + min{√F, T(n)}).
-	memo []memory.Addr
 }
 
 // DefaultLevels returns the paper's choice of recursion depth m = T(n)
@@ -66,16 +62,6 @@ func SubLogLevels(n int) int {
 // (outermost first); their sensitive-FAS labels are "F<k>:fas" and their
 // slow-path commitment labels "F<k>:slow". src may be nil.
 func NewBALock(sp memory.Space, n, m int, base BaseFactory, src SourceFactory) *BALock {
-	return newBALock(sp, n, m, base, src, false)
-}
-
-// NewBALockWithMemo builds the lock with the last-known-level optimization
-// of Section 7.3 enabled.
-func NewBALockWithMemo(sp memory.Space, n, m int, base BaseFactory, src SourceFactory) *BALock {
-	return newBALock(sp, n, m, base, src, true)
-}
-
-func newBALock(sp memory.Space, n, m int, base BaseFactory, src SourceFactory, memo bool) *BALock {
 	if n < 1 {
 		panic(fmt.Sprintf("core: NewBALock n = %d", n))
 	}
@@ -90,12 +76,6 @@ func newBALock(sp memory.Space, n, m int, base BaseFactory, src SourceFactory, m
 	if b.base == nil {
 		panic("core: base factory returned nil")
 	}
-	if memo {
-		b.memo = make([]memory.Addr, n)
-		for i := 0; i < n; i++ {
-			b.memo[i] = sp.Alloc(1, i)
-		}
-	}
 	inner := b.base
 	for level := m; level >= 1; level-- {
 		var ns NodeSource
@@ -104,14 +84,6 @@ func newBALock(sp memory.Space, n, m int, base BaseFactory, src SourceFactory, m
 		}
 		sa := NewSALock(sp, n, fmt.Sprintf("F%d", level), inner, ns)
 		sa.level = level
-		if memo && level < m {
-			// Committing to the slow path at level k means descending
-			// into level k+1: remember it as the last known level.
-			deeper := memory.Word(level + 1)
-			sa.slowHook = func(p memory.Port) {
-				p.Write(b.memo[p.PID()], deeper)
-			}
-		}
 		b.levels[level-1] = sa
 		inner = sa
 	}
@@ -142,53 +114,17 @@ func (b *BALock) SetPhaseHook(h PhaseHook) {
 func (b *BALock) Recover(p memory.Port) {}
 
 // Enter acquires the target lock: the process starts at level 1 and is
-// escalated one level per unsafe failure it is entangled with. With level
-// memoization, a process recovering from a crash resumes directly at its
-// last known level: the filters, splitters and path commitments of every
-// shallower level are still held (their state survived the crash), so
-// only the memoized level is entered normally and the outer arbitrators
-// are re-acquired on the way out.
-func (b *BALock) Enter(p memory.Port) {
-	if b.memo == nil {
-		b.levels[0].Enter(p)
-		return
-	}
-	last := int(p.Read(b.memo[p.PID()]))
-	if last < 1 || last > len(b.levels) {
-		last = 1
-	}
-	b.levels[last-1].Enter(p)
-	for k := last - 1; k >= 1; k-- {
-		b.levels[k-1].AcquireArbitrator(p)
-	}
-}
+// escalated one level per unsafe failure it is entangled with.
+func (b *BALock) Enter(p memory.Port) { b.levels[0].Enter(p) }
 
-// Exit releases the target lock. With level memoization the memo is reset
-// first: a crash inside Exit then falls back to the full (slower but
-// always safe) level walk, because path commitments are reset during the
-// exit and the memoized shortcut would no longer be valid.
-func (b *BALock) Exit(p memory.Port) {
-	if b.memo != nil {
-		p.Write(b.memo[p.PID()], 1)
-	}
-	b.levels[0].Exit(p)
-}
+// Exit releases the target lock, level 1 first.
+func (b *BALock) Exit(p memory.Port) { b.levels[0].Exit(p) }
 
-// Abort implements Aborter: the memo is reset first — exactly as in Exit,
-// a crash during the back-out must fall back to the full level walk, since
-// path commitments dissolve as the abort unwinds — then level 1's Abort
-// recursively backs out of every level the process committed to (each
-// level's core is the next level, so the recursion follows the persisted
-// slow-path commitments down to wherever the process actually was).
-func (b *BALock) Abort(p memory.Port) {
-	if b.memo != nil {
-		p.Write(b.memo[p.PID()], 1)
-	}
-	b.levels[0].Abort(p)
-}
-
-// MemoEnabled reports whether the Section 7.3 optimization is active.
-func (b *BALock) MemoEnabled() bool { return b.memo != nil }
+// Abort implements Aborter: level 1's Abort recursively backs out of
+// every level the process committed to (each level's core is the next
+// level, so the recursion follows the persisted slow-path commitments
+// down to wherever the process actually was).
+func (b *BALock) Abort(p memory.Port) { b.levels[0].Abort(p) }
 
 // SlowLabels returns the slow-path commitment labels of every level,
 // outermost first. A passage's escalation depth is the largest k whose

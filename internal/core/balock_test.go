@@ -201,107 +201,6 @@ func mustPanicCore(t *testing.T, name string, f func()) {
 	f()
 }
 
-func baMemoFactory(sp memory.Space, n int) sim.Lock {
-	return NewBALockWithMemo(sp, n, DefaultLevels(n), tournamentBase, nil)
-}
-
-func TestBALockMemoFailureFree(t *testing.T) {
-	for _, model := range []memory.Model{memory.CC, memory.DSM} {
-		res := mustRun(t, sim.Config{N: 8, Model: model, Requests: 3, Seed: 41}, baMemoFactory)
-		if res.MaxCSOverlap != 1 {
-			t.Fatalf("[%v] ME violated: overlap %d", model, res.MaxCSOverlap)
-		}
-		if got := len(res.Requests); got != 24 {
-			t.Fatalf("[%v] %d requests, want 24", model, got)
-		}
-	}
-}
-
-func TestBALockMemoCrashSweep(t *testing.T) {
-	// The memoized recovery path must preserve strong recoverability at
-	// every crash placement (including descent, unwind and exit).
-	for at := int64(0); at < 120; at += 3 {
-		plan := &sim.CrashAtOp{PID: 1, OpIndex: at}
-		res := mustRun(t, sim.Config{N: 4, Model: memory.CC, Requests: 2, Seed: 43, Plan: plan,
-			MaxSteps: 5_000_000}, baMemoFactory)
-		if res.MaxCSOverlap != 1 {
-			t.Fatalf("at=%d: ME violated", at)
-		}
-		if got := len(res.Requests); got != 8 {
-			t.Fatalf("at=%d: %d requests, want 8", at, got)
-		}
-	}
-}
-
-func TestBALockMemoHeavyFailures(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		plan := sim.PlanSeq{
-			&sim.RandomFailures{Rate: 0.005, MaxTotal: 8, DuringPassage: true},
-			&sim.UnsafeBudget{Total: 4, Rate: 0.3, MaxPerProcess: 1},
-		}
-		res := mustRun(t, sim.Config{N: 8, Model: memory.CC, Requests: 3, Seed: seed, Plan: plan,
-			MaxSteps: 10_000_000}, baMemoFactory)
-		if res.MaxCSOverlap != 1 {
-			t.Fatalf("seed=%d: ME violated with %d crashes", seed, res.CrashCount())
-		}
-		if got := len(res.Requests); got != 24 {
-			t.Fatalf("seed=%d: %d requests, want 24", seed, got)
-		}
-	}
-}
-
-func TestBALockMemoCheaperRecovery(t *testing.T) {
-	// A victim that repeatedly crashes while escalated should pay less
-	// per super-passage with the memo than without: the memoized walk
-	// re-enters only its deepest level.
-	victimPlan := func(f0 int) func(int) sim.FailurePlan {
-		return func(int) sim.FailurePlan {
-			return sim.PlanFunc(func(ctx sim.StepCtx) bool {
-				return ctx.PID == 0 && ctx.InPassage && ctx.ProcCrashes < f0 &&
-					ctx.Rand.Float64() < 0.08
-			})
-		}
-	}
-	run := func(f sim.Factory) int64 {
-		var worst int64
-		for seed := int64(1); seed <= 3; seed++ {
-			r, err := sim.New(sim.Config{N: 8, Model: memory.CC, Requests: 4, Seed: seed,
-				Plan: victimPlan(6)(8), MaxSteps: 10_000_000}, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.MaxCSOverlap != 1 {
-				t.Fatal("ME violated")
-			}
-			if s := res.SummarizeRequestRMRs(); s.Max > worst {
-				worst = s.Max
-			}
-		}
-		return worst
-	}
-	plain := run(baFactory)
-	memo := run(baMemoFactory)
-	if memo > plain {
-		t.Logf("memo did not win on this workload (plain %d vs memo %d); acceptable when escalation is shallow", plain, memo)
-	}
-}
-
-func TestBALockMemoAccessors(t *testing.T) {
-	a := memory.NewArena(memory.CC, 4)
-	b := NewBALockWithMemo(a, 4, 2, tournamentBase, nil)
-	if !b.MemoEnabled() {
-		t.Fatal("memo not enabled")
-	}
-	b2 := NewBALock(a, 4, 2, tournamentBase, nil)
-	if b2.MemoEnabled() {
-		t.Fatal("memo unexpectedly enabled")
-	}
-}
-
 func TestBALockFCFSWithoutFailures(t *testing.T) {
 	// Section 1: the target lock is FCFS in the absence of failures —
 	// processes enter the target CS in the order of their level-1 filter

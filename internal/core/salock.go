@@ -43,9 +43,6 @@ type SALock struct {
 	typ    []memory.Addr
 
 	slowLabel string
-	// slowHook, when set (by BALock's level memoization), runs right
-	// after a process commits to the slow path.
-	slowHook func(p memory.Port)
 
 	// level is the 1-based BA-Lock level this instance sits at (1 for a
 	// standalone SALock); phase, when set, observes pipeline transitions.
@@ -130,9 +127,6 @@ func (l *SALock) Enter(p memory.Port) {
 	if !l.split.Mine(p) { // unable to take the fast path
 		p.Label(l.slowLabel)
 		p.Write(l.typ[i], pathSlow) // committed to the slow path
-		if l.slowHook != nil {
-			l.slowHook(p)
-		}
 		l.enterPhase(i, PhaseCore)
 		l.core.Recover(p)
 		l.core.Enter(p)
@@ -140,16 +134,7 @@ func (l *SALock) Enter(p memory.Port) {
 		l.enterPhase(i, PhaseFast)
 	}
 
-	l.AcquireArbitrator(p)
-}
-
-// AcquireArbitrator runs only the final stage of the Enter segment: the
-// arbitrator acquisition from the side the process's path type selects.
-// BALock's level-memoized recovery uses it to unwind through levels whose
-// filter, splitter and core stages the process still holds from before its
-// crash.
-func (l *SALock) AcquireArbitrator(p memory.Port) {
-	l.enterPhase(p.PID(), PhaseArbitrator)
+	l.enterPhase(i, PhaseArbitrator)
 	side := l.side(p)
 	l.arb.Recover(p, side)
 	l.arb.Enter(p, side)

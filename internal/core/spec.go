@@ -18,17 +18,12 @@ type LockSpec struct {
 	Base BaseFactory
 	// Source constructs per-level node sources; nil selects AllocSource.
 	Source SourceFactory
-	// Memo enables the Section 7.3 last-known-level optimization.
-	Memo bool
 }
 
 // Build constructs a BA-Lock for n processes from the spec inside sp.
 func (s LockSpec) Build(sp memory.Space, n int) *BALock {
 	if s.Levels < 1 {
 		panic(fmt.Sprintf("core: LockSpec levels = %d", s.Levels))
-	}
-	if s.Memo {
-		return NewBALockWithMemo(sp, n, s.Levels, s.Base, s.Source)
 	}
 	return NewBALock(sp, n, s.Levels, s.Base, s.Source)
 }

@@ -215,12 +215,20 @@ type Recorder struct {
 // does not choose one.
 const DefaultRingSize = 1024
 
+// MaxRingSize is the largest ring capacity NewRecorder accepts: the
+// capacity rounds up to a power of two, and 1<<30 is the largest one an
+// int holds on every Go platform.
+const MaxRingSize = 1 << 30
+
 // NewRecorder returns an enabled recorder for n processes with the given
 // per-process ring capacity (rounded up to a power of two; values < 2
-// select DefaultRingSize).
+// select DefaultRingSize). It panics above MaxRingSize.
 func NewRecorder(n, ringSize int) *Recorder {
 	if n < 1 {
 		panic(fmt.Sprintf("flight: NewRecorder n = %d", n))
+	}
+	if ringSize > MaxRingSize {
+		panic(fmt.Sprintf("flight: NewRecorder ring size %d > %d", ringSize, MaxRingSize))
 	}
 	if ringSize < 2 {
 		ringSize = DefaultRingSize

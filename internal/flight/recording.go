@@ -26,8 +26,8 @@ const (
 
 // Recording is a dumped flight recording: one event stream per process,
 // each strictly ordered by (Seq, TS). It is the interchange format between
-// the recorder (or the sim converter), cmd/soak post-mortem dumps, and
-// cmd/rmetrace.
+// the recorder (or the sim converter), rmesweep -random post-mortem dumps,
+// and cmd/rmetrace.
 type Recording struct {
 	Schema string `json:"schema"`
 	N      int    `json:"n"`

@@ -207,7 +207,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 }
 
 // String renders a one-paragraph human summary, the form printed by
-// cmd/soak and cmd/rmesim.
+// rmesweep -random and cmd/rmesim.
 func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "passages=%d crashes=%d recoveries=%d fast=%d slow=%d",

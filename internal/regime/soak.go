@@ -1,9 +1,9 @@
 // Package regime hosts the long-running workload drivers shared by
-// cmd/soak and cmd/rmeserver: the randomized lockstep soak campaign (the
-// adversary battery with shrinking repro artifacts and the watchdog
-// post-mortem), and the native continuous regimes (hot/Zipf/churn/abort/
-// crash traffic against rme.Mutex and rme.Map) the ops plane serves
-// metrics from.
+// cmd/rmesweep and cmd/rmeserver: the randomized lockstep soak campaign
+// that rmesweep -random runs (the adversary battery with shrinking repro
+// artifacts and the watchdog post-mortem), and the native continuous
+// regimes (hot/Zipf/churn/abort/crash traffic against rme.Mutex and
+// rme.Map) the ops plane serves metrics from.
 package regime
 
 import (
@@ -121,26 +121,6 @@ func (c *Campaign) config(model memory.Model, seed int64) sim.Config {
 	return cfg
 }
 
-// report captures a violation as a shrunk, replayable artifact and returns
-// the file it was written to.
-func (c *Campaign) report(spec workload.Spec, model memory.Model, seed int64, observed error) (string, error) {
-	note := fmt.Sprintf("soak %s/%v seed=%d: %v", spec.Name, model, seed, observed)
-	art, _, err := repro.Record(spec.RunSpec(c.config(model, seed), note), spec.New)
-	if err != nil {
-		return "", fmt.Errorf("recording repro: %w", err)
-	}
-	if art.Property == "" {
-		return "", fmt.Errorf("violation did not reproduce under the recording scheduler (non-deterministic plan?)")
-	}
-	art = repro.Shrink(art, spec.New)
-	name := fmt.Sprintf("repro-%s-%v-seed%d.json", spec.Name, model, seed)
-	path := filepath.Join(c.OutDir, name)
-	if err := art.WriteFile(path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
 // dumpFlight writes a post-mortem flight recording of the violating run —
 // the last FlightTail lifecycle events per process in the rme-flight/v1
 // interchange format, so cmd/rmetrace can render the window around the
@@ -224,8 +204,9 @@ func (c *Campaign) Run() (int, int) {
 				} else {
 					fmt.Fprintf(c.Stdout, "  flight recording → %s (render: rmetrace -timeline %s)\n", fp, fp)
 				}
-				path, rerr := c.report(spec, model, seed, cerr)
-				if rerr != nil {
+				note := fmt.Sprintf("soak %s/%v seed=%d: %v", spec.Name, model, seed, cerr)
+				path := filepath.Join(c.OutDir, fmt.Sprintf("repro-%s-%v-seed%d.json", spec.Name, model, seed))
+				if rerr := repro.Capture(spec.RunSpec(c.config(model, seed), note), spec.New, path); rerr != nil {
 					fmt.Fprintf(c.Stdout, "  repro: %v\n", rerr)
 					continue
 				}

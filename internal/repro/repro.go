@@ -1,7 +1,7 @@
 // Package repro records, replays and shrinks failure reproductions.
 //
-// A violation found by a randomized campaign (cmd/soak) or a crash-placement
-// sweep (cmd/rmesweep) is captured as a versioned, self-contained Artifact:
+// A violation found by cmd/rmesweep, in its randomized campaign or its
+// crash-placement sweep, is captured as a versioned, self-contained Artifact:
 // the run configuration, the seed, every scheduler decision, and the exact
 // crash placements. Because the simulator serializes execution through the
 // scheduler and crashes are named by (pid, instruction index), replaying the
@@ -174,6 +174,21 @@ func Record(spec RunSpec, factory sim.Factory) (*Artifact, *sim.Result, error) {
 		a.Aborts = append(a.Aborts, sim.CrashPoint{PID: ab.PID, OpIndex: ab.OpIndex})
 	}
 	return a, res, nil
+}
+
+// Capture is the campaigns' violation path: it records spec's run,
+// shrinks the artifact and writes it to path. It fails when the run
+// violates no property under the recording scheduler, since an artifact
+// that does not reproduce is no repro.
+func Capture(spec RunSpec, factory sim.Factory, path string) error {
+	a, _, err := Record(spec, factory)
+	if err != nil {
+		return fmt.Errorf("recording repro: %w", err)
+	}
+	if a.Property == "" {
+		return fmt.Errorf("violation did not reproduce under the recording scheduler")
+	}
+	return Shrink(a, factory).WriteFile(path)
 }
 
 // ReplayResult is the outcome of replaying an artifact.

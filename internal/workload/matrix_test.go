@@ -63,7 +63,7 @@ func TestUnsafeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("unsafe matrix is expensive; skipped with -short")
 	}
-	for _, name := range []string{"sa", "ba-log", "ba-sublog", "ba-memo", "ba-pool"} {
+	for _, name := range []string{"sa", "ba-log", "ba-sublog", "ba-pool"} {
 		spec, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,6 @@ func TestSegmentBoundsMatrix(t *testing.T) {
 		"sa":         {4, 160},
 		"ba-log":     {4, 400},
 		"ba-sublog":  {4, 400},
-		"ba-memo":    {4, 400},
 		"ba-pool":    {4, 400},
 	}
 	for name, b := range bounds {

@@ -212,16 +212,6 @@ func Registry() map[string]Spec {
 			SlowLabels: slowLabels(core.SubLogLevels),
 			Levels:     core.SubLogLevels,
 		},
-		"ba-memo": {
-			Name:     "ba-memo",
-			Paper:    "BA-Lock with the Section 7.3 last-known-level optimization: super-passage O(F0 + √F)",
-			Strength: Strong,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewBALockWithMemo(sp, n, core.DefaultLevels(n), tournamentBase, nil)
-			},
-			SlowLabels: slowLabels(core.DefaultLevels),
-			Levels:     core.DefaultLevels,
-		},
 		"ba-pool": {
 			Name:     "ba-pool",
 			Paper:    "BA-Lock over the tournament base with reclamation pools at every level (bounded space)",

@@ -10,7 +10,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	for _, name := range []string{"mcs", "mcs-dt", "wr", "wr-pool", "wr-notify", "bakery",
-		"tournament", "arbtree", "sa", "sa-bakery", "ba-log", "ba-sublog", "ba-memo", "ba-pool"} {
+		"tournament", "arbtree", "sa", "sa-bakery", "ba-log", "ba-sublog", "ba-pool"} {
 		s, ok := reg[name]
 		if !ok {
 			t.Fatalf("missing %q", name)

@@ -113,7 +113,8 @@ type region struct {
 // and WithTracing apply to every per-key lock. WithoutReclamation,
 // WithSlack and WithCapacity do not apply to maps and are rejected:
 // per-key locks must pool their queue nodes or a long-lived key's region
-// would exhaust, and regions are sized exactly.
+// would exhaust, and regions are sized exactly. WithShards above 1<<30
+// and a TracingOptions.RingSize above 1<<30 are rejected too.
 func NewMap(n int, opts ...Option) (*Map, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rme: NewMap(%d): need at least one process", n)
@@ -129,6 +130,10 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 		return nil, fmt.Errorf("rme: NewMap does not support WithSlack/WithCapacity (regions are sized exactly)")
 	case cfg.shards < 0:
 		return nil, fmt.Errorf("rme: negative shard count %d", cfg.shards)
+	case cfg.shards > maxShards:
+		return nil, fmt.Errorf("rme: shard count %d exceeds %d", cfg.shards, maxShards)
+	case cfg.tracingOpts.RingSize > flight.MaxRingSize:
+		return nil, fmt.Errorf("rme: ring size %d exceeds %d", cfg.tracingOpts.RingSize, flight.MaxRingSize)
 	case cfg.segSlots < 0:
 		return nil, fmt.Errorf("rme: negative segment slot count %d", cfg.segSlots)
 	}

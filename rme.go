@@ -127,9 +127,15 @@ func WithSlack(words int) Option { return func(c *config) { c.slack = words } }
 func WithCapacity(words int) Option { return func(c *config) { c.capacity = words } }
 
 // WithShards sets a Map's shard count (default 8, rounded up to a power
-// of two). Keys hash over shards; each shard serializes only its own
-// key-table bookkeeping, never passages. Map only — New rejects it.
+// of two; NewMap rejects k above 1<<30). Keys hash over shards; each
+// shard serializes only its own key-table bookkeeping, never passages.
+// Map only — New rejects it.
 func WithShards(k int) Option { return func(c *config) { c.shards = k } }
+
+// maxShards is the largest shard count NewMap accepts: the count rounds
+// up to a power of two, and 1<<30 is the largest one an int holds on
+// every Go platform.
+const maxShards = 1 << 30
 
 // WithSegmentSlots sets how many per-key lock regions one of a Map
 // shard's arena segments holds (default 64). Smaller segments bound the
@@ -172,8 +178,9 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // TracingOptions configures the flight recorder (see WithTracing).
 type TracingOptions struct {
 	// RingSize is the per-process ring capacity in events, rounded up to
-	// a power of two; 0 selects flight.DefaultRingSize. Older events are
-	// overwritten once the ring is full — the recorder is a flight
+	// a power of two; 0 selects flight.DefaultRingSize, and New and
+	// NewMap reject values above flight.MaxRingSize (1<<30). Older events
+	// are overwritten once the ring is full — the recorder is a flight
 	// recorder, not an unbounded log.
 	RingSize int
 	// Disabled constructs the recorder in the disabled state; enable it
@@ -214,7 +221,8 @@ type Mutex struct {
 	rec   *metrics.Recorder // nil unless WithMetrics
 }
 
-// New creates a recoverable mutex for n processes.
+// New creates a recoverable mutex for n processes. It returns an error
+// for an invalid option, such as a TracingOptions.RingSize above 1<<30.
 func New(n int, opts ...Option) (*Mutex, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rme: New(%d): need at least one process", n)
@@ -239,6 +247,9 @@ func New(n int, opts ...Option) (*Mutex, error) {
 	}
 	if cfg.shards != 0 || cfg.segSlots != 0 {
 		return nil, fmt.Errorf("rme: WithShards/WithSegmentSlots apply to NewMap, not New")
+	}
+	if cfg.tracingOpts.RingSize > flight.MaxRingSize {
+		return nil, fmt.Errorf("rme: ring size %d exceeds %d", cfg.tracingOpts.RingSize, flight.MaxRingSize)
 	}
 
 	// Measure the exact physical footprint by replaying the allocation

@@ -1,10 +1,13 @@
 package rme
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rme/internal/memory"
 )
@@ -330,6 +333,51 @@ func TestWithCapacityFloor(t *testing.T) {
 	}
 	if !big.Passage(0, func() {}) {
 		t.Fatal("passage failed on pre-sized arena")
+	}
+}
+
+// TestPowerOfTwoOptionsBounded: WithShards and TracingOptions.RingSize
+// round up to a power of two, so a count above the largest power of two
+// an int holds on every platform (1<<30) must come back as an error at
+// once rather than spin a doubling counter through overflow forever.
+func TestPowerOfTwoOptionsBounded(t *testing.T) {
+	tracing := func(k int) Option { return WithTracing(TracingOptions{RingSize: k}) }
+	rejects := func(name string, build func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- build() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: still running after 3s", name)
+		}
+	}
+	// math.MaxInt/2 + 2 is 1<<62+1 on 64-bit platforms.
+	for _, k := range []int{1<<30 + 1, math.MaxInt/2 + 2} {
+		rejects(fmt.Sprintf("New ring %d", k), func() error { _, err := New(2, tracing(k)); return err })
+		rejects(fmt.Sprintf("NewMap ring %d", k), func() error { _, err := NewMap(2, tracing(k)); return err })
+		rejects(fmt.Sprintf("NewMap shards %d", k), func() error { _, err := NewMap(2, WithShards(k)); return err })
+	}
+
+	m, err := New(2, tracing(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.eng.fr.RingSize(); got != 1024 {
+		t.Errorf("New ring 1000 rounded to %d, want 1024", got)
+	}
+	ma, err := NewMap(2, tracing(1000), WithShards(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ma.eng.fr.RingSize(); got != 1024 {
+		t.Errorf("NewMap ring 1000 rounded to %d, want 1024", got)
+	}
+	if got := len(ma.shards); got != 8 {
+		t.Errorf("5 shards rounded to %d, want 8", got)
 	}
 }
 
