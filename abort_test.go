@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,7 +491,8 @@ func TestAbortCrashRecoverStress(t *testing.T) {
 // per call — including an abortable passage under a context that never
 // fires, whose cancellation poll reads ctx.Done() on the acquiring
 // goroutine, and a Map miss, which rebinds a recycled region and its
-// already-built lock to the new key.
+// already-built lock to the new key, on a one-slot shard and on a full
+// default-size one.
 func TestPassageZeroAllocs(t *testing.T) {
 	m, err := New(2)
 	if err != nil {
@@ -505,10 +507,24 @@ func TestPassageZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 65 keys cycled over a default 64-slot shard: every call evicts the
+	// least recently used of 64 live keys.
+	full, err := NewMap(2, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullKeys := make([]string, 65)
+	for i := range fullKeys {
+		fullKeys[i] = "full-" + strconv.Itoa(i)
+	}
 	ctx, cs := context.Background(), func() {}
 	ma.Passage(0, "live", cs) // instantiate the key up front
 	keys, turn := [2]string{"a", "b"}, 0
 	churn.Passage(0, keys[turn], cs) // carve the region up front
+	for _, k := range fullKeys {
+		full.Passage(0, k, cs) // carve 64 regions and evict once
+	}
+	next := len(fullKeys) - 1
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -519,6 +535,7 @@ func TestPassageZeroAllocs(t *testing.T) {
 		{"Map.Passage", func() { ma.Passage(0, "live", cs) }},
 		{"Map.PassageCtx", func() { ma.PassageCtx(ctx, 0, "live", cs) }},
 		{"Map.Passage (miss)", func() { turn ^= 1; churn.Passage(0, keys[turn], cs) }},
+		{"Map.Passage (miss, full shard)", func() { next = (next + 1) % len(fullKeys); full.Passage(0, fullKeys[next], cs) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", c.name, got)
@@ -526,5 +543,8 @@ func TestPassageZeroAllocs(t *testing.T) {
 	}
 	if st := churn.Stats(); st.Evictions != st.Instantiated-1 || st.Segments != 1 {
 		t.Fatalf("miss case did not rebind one region: %+v", st)
+	}
+	if st := full.Stats(); st.Evictions != st.Instantiated-64 || st.Keys != 64 || st.Segments != 1 {
+		t.Fatalf("full-shard miss case did not evict on every call: %+v", st)
 	}
 }

@@ -85,31 +85,40 @@ func BenchmarkNativeContended(b *testing.B) {
 }
 
 // BenchmarkMap prices one rme.Map passage at n = 8 (the region of a
-// 3-level BA-Lock): a hit on a live key, and a miss, where two keys
-// alternate over a single region so every passage evicts the other key
-// and binds its region to the new one. carve prices a region's first
+// 3-level BA-Lock): a hit on a live key; a miss, where two keys alternate
+// over a single region so every passage evicts the other key and binds
+// its region to the new one; and evict, a miss on a full default-size
+// shard, where 65 keys cycle over 64 slots so every passage evicts the
+// least recently used of 64 live keys. carve prices a region's first
 // use: each iteration builds a Map and runs one passage on each of 64
 // fresh keys, so its per-carve figures include NewMap spread over them.
 func BenchmarkMap(b *testing.B) {
 	cs := func() {}
+	cycled := make([]string, 65)
+	for i := range cycled {
+		cycled[i] = fmt.Sprintf("key-%d", i)
+	}
 	for _, tc := range []struct {
 		name string
 		opts []rme.Option
-		keys [2]string
+		keys []string
 	}{
-		{"hit", nil, [2]string{"hot", "hot"}},
-		{"miss", []rme.Option{rme.WithShards(1), rme.WithSegmentSlots(1)}, [2]string{"a", "b"}},
+		{"hit", nil, []string{"hot"}},
+		{"miss", []rme.Option{rme.WithShards(1), rme.WithSegmentSlots(1)}, []string{"a", "b"}},
+		{"evict", []rme.Option{rme.WithShards(1)}, cycled},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			ma, err := rme.NewMap(8, tc.opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ma.Passage(0, tc.keys[1], cs) // carve the region up front
+			for _, k := range tc.keys {
+				ma.Passage(0, k, cs) // carve the regions up front
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ma.Passage(0, tc.keys[i%2], cs)
+				ma.Passage(0, tc.keys[i%len(tc.keys)], cs)
 			}
 		})
 	}

@@ -62,18 +62,22 @@ type Map struct {
 	mask      uint32
 }
 
-// mapShard owns one slice of the key space: its key table, its arena
-// segments, and its free list of recycled regions. All fields are
-// guarded by mu except the segments' arenas themselves, which passages
-// access through ports without locking.
+// mapShard owns one slice of the key space: its key table, the last-use
+// list of its live keys, its arena segments, and its free list of
+// recycled regions. All fields are guarded by mu except the segments'
+// arenas themselves, which passages access through ports without
+// locking.
 type mapShard struct {
 	m  *Map
 	mu sync.Mutex
 
-	entries  map[string]*region
+	entries map[string]*region
+	// lru heads the circular last-use list of the live keys' regions:
+	// lru.next is the least recently acquired, lru.prev the most. It is
+	// a sentinel; only its links are used.
+	lru      region
 	segments []*mapSegment
 	free     []*region
-	clock    uint64 // LRU stamp source
 
 	instantiated uint64 // keys bound to a region (fresh or recycled)
 	recycled     uint64 // bindings that reused a recycled region
@@ -99,12 +103,15 @@ type region struct {
 	sub   *memory.SubArena
 	off   memory.Addr // port offset putting the template's line 1 on the region's first line
 
-	key      string
-	refs     int    // processes engaged (procs[pid].e == this)
-	pending  []bool // pending[pid]: crashed claim abandoned by pid
-	npending int
-	stamp    uint64 // last-use clock, for LRU eviction
+	key        string
+	refs       int    // processes engaged (procs[pid].e == this)
+	pending    []bool // pending[pid]: crashed claim abandoned by pid
+	npending   int
+	prev, next *region // the shard's last-use list, while bound to key
 }
+
+// unlink takes r off its shard's last-use list.
+func (r *region) unlink() { r.prev.next, r.next.prev = r.next, r.prev }
 
 // NewMap creates a keyed lock manager for n processes.
 //
@@ -174,7 +181,9 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	ma.eng.keys = ma
 	ma.eng.watch(lock)
 	for i := range ma.shards {
-		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*region)}
+		sh := &mapShard{m: ma, entries: make(map[string]*region)}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		ma.shards[i] = sh
 	}
 	return ma, nil
 }
@@ -244,22 +253,23 @@ func (sh *mapShard) slotFor() *region {
 
 // evictLocked evicts the least-recently-used idle key (no engaged
 // process, no pending crashed claim) and recycles its region, or returns
-// nil when every key is pinned. Recycling zeroes the region, which
-// returns it to the just-built state (the construction stored nothing),
-// and with metrics on marks the region's addresses as new memory, so no
-// process's CC cache survives into the next key's lock. mu, which every
-// engagement takes to start and to end, orders the zeroing against every
-// port access.
+// nil when every key is pinned. It walks the last-use list from its
+// least recent end, so it steps over only the pinned keys used before
+// the victim. Recycling zeroes the region, which returns it to the
+// just-built state (the construction stored nothing), and with metrics
+// on marks the region's addresses as new memory, so no process's CC
+// cache survives into the next key's lock. mu, which every engagement
+// takes to start and to end, orders the zeroing against every port
+// access.
 func (sh *mapShard) evictLocked() *region {
-	var victim *region
-	for _, r := range sh.entries {
-		if r.refs == 0 && r.npending == 0 && (victim == nil || r.stamp < victim.stamp) {
-			victim = r
-		}
+	victim := sh.lru.next
+	for victim != &sh.lru && (victim.refs > 0 || victim.npending > 0) {
+		victim = victim.next
 	}
-	if victim == nil {
+	if victim == &sh.lru {
 		return nil
 	}
+	victim.unlink()
 	delete(sh.entries, victim.key)
 	sh.evictions++
 	victim.sub.Reset()
@@ -270,7 +280,8 @@ func (sh *mapShard) evictLocked() *region {
 }
 
 // acquire looks up key's region, binding the key to one on a miss, and
-// engages pid with it.
+// engages pid with it. The region moves to the most recent end of the
+// last-use list, or is linked there when newly bound.
 func (sh *mapShard) acquire(pid int, key string) *region {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -280,14 +291,16 @@ func (sh *mapShard) acquire(pid int, key string) *region {
 		r.key = key
 		sh.entries[key] = r
 		sh.instantiated++
+	} else {
+		r.unlink()
 	}
+	r.prev, r.next = sh.lru.prev, &sh.lru
+	r.prev.next, sh.lru.prev = r, r
 	if r.pending[pid] {
 		r.pending[pid] = false
 		r.npending--
 	}
 	r.refs++
-	sh.clock++
-	r.stamp = sh.clock
 	r.seg.ensurePort(sh.m, pid)
 	return r
 }

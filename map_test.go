@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -304,6 +305,81 @@ func TestMapAbandonedClaimPinsKey(t *testing.T) {
 	ma.EvictIdle(0)
 	if ma.Len() != 0 {
 		t.Fatalf("Len = %d after recovery and eviction, want 0", ma.Len())
+	}
+}
+
+// TestMapEvictsLeastRecentlyUsedIdle pins the eviction order on one
+// 4-slot shard: each miss on the full shard takes the idle key whose
+// last acquisition is oldest, stepping over keys pinned by a crash
+// inside the critical section or by a parked pending claim. A recovery
+// that re-acquires a parked claim counts as a use; the crashed holder's
+// recovery continues its engagement and does not.
+func TestMapEvictsLeastRecentlyUsedIdle(t *testing.T) {
+	var arm atomic.Bool
+	fail := func(pid int) bool { return pid == 0 && arm.CompareAndSwap(true, false) }
+	ma, err := NewMap(2, WithShards(1), WithSegmentSlots(4), WithFailures(fail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(pid int, key string) {
+		t.Helper()
+		if !ma.Passage(pid, key, func() {}) {
+			t.Fatalf("pid %d: passage on %q failed", pid, key)
+		}
+	}
+	live := func(want ...string) {
+		t.Helper()
+		got := make([]string, 0, len(ma.shards[0].entries))
+		for k := range ma.shards[0].entries {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("live keys %v, want %v", got, want)
+		}
+	}
+
+	for _, k := range []string{"a", "b", "c", "d", "a"} {
+		pass(0, k)
+	}
+	pass(0, "e") // order b c d a: the re-touched a outlives b
+	live("a", "c", "d", "e")
+
+	// Pin c with a crash inside its critical section, and d with a crash
+	// mid-acquisition that pid 0 parks as a pending claim on moving on.
+	if ma.Passage(1, "c", func() { Crash(1) }) {
+		t.Fatal("passage on c survived a crash inside the critical section")
+	}
+	arm.Store(true)
+	if ma.Passage(0, "d", func() {}) {
+		t.Fatal("passage on d survived the injected crash")
+	}
+	pass(0, "f") // order a e c* d*: a goes
+	live("c", "d", "e", "f")
+	pass(0, "g") // e c* d* f: e goes
+	live("c", "d", "f", "g")
+	pass(0, "h") // c* d* f g: f goes, both pins stepped over
+	live("c", "d", "g", "h")
+	pass(0, "i") // c* d* g h: g goes
+	live("c", "d", "h", "i")
+
+	pass(0, "d") // re-acquires the parked claim: order c h i d
+	pass(1, "c") // BCSR re-entry, no new acquisition: c stays oldest
+	pass(0, "j")
+	live("d", "h", "i", "j")
+	pass(0, "k")
+	live("d", "i", "j", "k")
+	pass(0, "l")
+	live("d", "j", "k", "l")
+	pass(0, "m") // d goes at its new last-use position
+	live("j", "k", "l", "m")
+
+	if got := ma.EvictIdle(1); got != 1 {
+		t.Fatalf("EvictIdle(1) evicted %d keys", got)
+	}
+	live("k", "l", "m")
+	if st := ma.Stats(); st.Instantiated != 13 || st.Evictions != 10 || st.Segments != 1 {
+		t.Fatalf("instantiated/evictions/segments = %d/%d/%d, want 13/10/1", st.Instantiated, st.Evictions, st.Segments)
 	}
 }
 
