@@ -13,8 +13,9 @@ import (
 
 // TestDesignMatchesCode pins DESIGN.md to the code, the way rmebench's
 // usage text is pinned to its registry: every API name §4 gives is
-// exported by package rme, and §7's layout names every command, internal
-// package, example and root source file.
+// exported by package rme, §4 names every option (each With… function
+// and each TracingOptions field), and §7's layout names every command,
+// internal package, example and root source file.
 func TestDesignMatchesCode(t *testing.T) {
 	raw, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -29,11 +30,23 @@ func TestDesignMatchesCode(t *testing.T) {
 
 	api := designSection(t, doc, "4")
 	qualified := regexp.MustCompile(`\brme\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	named := map[string]bool{}
 	for _, m := range qualified.FindAllStringSubmatch(api, -1) {
+		named[m[1]], named[m[1]+"."+m[2]] = true, true
 		if !names[m[1]] {
 			t.Errorf("§4 names %s, but package rme exports no %s", m[0], m[1])
 		} else if m[2] != "" && !members[m[1]+"."+m[2]] {
 			t.Errorf("§4 names %s, but %s has no exported method or field %s", m[0], m[1], m[2])
+		}
+	}
+	for name := range names {
+		if strings.HasPrefix(name, "With") && !named[name] {
+			t.Errorf("§4 never names the option rme.%s", name)
+		}
+	}
+	for member := range members {
+		if strings.HasPrefix(member, "TracingOptions.") && !named[member] {
+			t.Errorf("§4 never names the option rme.%s", member)
 		}
 	}
 	bareCall := regexp.MustCompile("`([A-Z]\\w*)\\(")

@@ -106,12 +106,9 @@ func ExampleWithTracing() {
 	// Output: native ns 3
 }
 
-// Options select the base lock, recursion depth and failure injection.
+// WithBase selects the base lock under the filter levels.
 func ExampleWithBase() {
-	m, err := rme.New(8,
-		rme.WithBase(rme.BaseArbTree), // O(log n / log log n) worst case
-		rme.WithLevels(2),
-	)
+	m, err := rme.New(8, rme.WithBase(rme.BaseArbTree)) // O(log n / log log n) worst case
 	if err != nil {
 		panic(err)
 	}

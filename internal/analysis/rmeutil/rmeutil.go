@@ -247,23 +247,10 @@ func parseOne(text string, idx []int) Marker {
 	}
 }
 
-// Allowed reports whether an rme:allow(<analyzer>: ...) marker on the
-// diagnostic's line or the line above suppresses it.
-func (fm *FileMarkers) Allowed(analyzer string, line int) bool {
-	for _, l := range []int{line, line - 1} {
-		for _, m := range fm.ByLine[l] {
-			if m.Kind == KindAllow && m.Allow == analyzer {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Suppressed reports whether an rme:allow marker on the diagnostic's line
 // or the line above suppresses a diagnostic of pass.Analyzer, and records
 // the use through pass.UsedAllow so the driver can audit markers that no
-// longer suppress anything. Analyzers should call this instead of Allowed.
+// longer suppress anything.
 func Suppressed(pass *analysis.Pass, file *ast.File, fm *FileMarkers, line int) bool {
 	name := pass.Analyzer.Name
 	for _, l := range []int{line, line - 1} {

@@ -273,11 +273,6 @@ func (l *WRLock) finishAbandon(p memory.Port) {
 	p.Write(l.state[i], stateFree)
 }
 
-// AbandonLabel returns the label carried by the abandon dance's early
-// handoff write ("<name>:abandon"); observability layers count it to
-// distinguish abort handoffs from exit handoffs.
-func (l *WRLock) AbandonLabel() string { return l.abandonLabel }
-
 // SubQueue describes one fragment of the request queue, reconstructed from
 // shared memory for diagnostics (Figure 1). Owners lists the processes
 // owning the chain's nodes in queue order; AtTail reports whether the

@@ -255,9 +255,6 @@ func NewRecorder(n, ringSize int) *Recorder {
 // N returns the process count.
 func (r *Recorder) N() int { return r.n }
 
-// RingSize returns the per-process ring capacity in events.
-func (r *Recorder) RingSize() int { return r.size }
-
 // SetEnabled starts or stops recording. Disabling mid-passage is safe:
 // events are simply not emitted while disabled, and the next passage
 // boundary resets the phase-span state. The recorder-off cost at every

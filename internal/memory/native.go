@@ -71,8 +71,7 @@ type stripe struct {
 // the given number of physical words. Word 0 is reserved as null. The
 // capacity is rounded up to whole cache lines (minimum two: the null line
 // plus one allocatable line), and allocations consume whole lines per the
-// layout rules above — size arenas with NewNativeSizer, or via
-// rme.WithCapacity at the API level.
+// layout rules above — size arenas with NewNativeSizer.
 func NewNativeArena(n, capacity int) *NativeArena {
 	if n <= 0 {
 		panic(fmt.Sprintf("memory: invalid process count %d", n))
@@ -102,7 +101,7 @@ func (al *nativeAlloc) grabLines(k int64) int64 {
 		line := al.nextLine.Load()
 		end := line + k
 		if al.limit > 0 && end*LineWords > al.limit {
-			panic(fmt.Sprintf("memory: native arena exhausted (capacity %d words); size it with rme.WithCapacity", al.limit))
+			panic(fmt.Sprintf("memory: native arena exhausted (capacity %d words)", al.limit))
 		}
 		if al.nextLine.CompareAndSwap(line, end) {
 			return line * LineWords

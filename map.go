@@ -115,32 +115,22 @@ func (r *region) unlink() { r.prev.next, r.next.prev = r.next, r.prev }
 
 // NewMap creates a keyed lock manager for n processes.
 //
-// Map-specific options are WithShards and WithSegmentSlots; the lock
-// recipe options (WithBase, WithLevels), failure injection, WithMetrics
-// and WithTracing apply to every per-key lock. WithoutReclamation,
-// WithSlack and WithCapacity do not apply to maps and are rejected:
-// per-key locks must pool their queue nodes or a long-lived key's region
-// would exhaust, and regions are sized exactly. WithShards above 1<<30
-// and a TracingOptions.RingSize above 1<<30 are rejected too.
+// Map-specific options are WithShards and WithSegmentSlots, and
+// WithShards above 1<<30 is rejected; the base lock (WithBase), failure
+// injection, WithMetrics and WithTracing apply to every per-key lock.
 func NewMap(n int, opts ...Option) (*Map, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rme: NewMap(%d): need at least one process", n)
 	}
-	cfg := config{base: BaseTournament, reclamation: true}
+	cfg := config{base: BaseTournament}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	switch {
-	case !cfg.reclamation:
-		return nil, fmt.Errorf("rme: NewMap does not support WithoutReclamation (per-key locks must pool queue nodes)")
-	case cfg.slack != 0 || cfg.capacity != 0:
-		return nil, fmt.Errorf("rme: NewMap does not support WithSlack/WithCapacity (regions are sized exactly)")
 	case cfg.shards < 0:
 		return nil, fmt.Errorf("rme: negative shard count %d", cfg.shards)
 	case cfg.shards > maxShards:
 		return nil, fmt.Errorf("rme: shard count %d exceeds %d", cfg.shards, maxShards)
-	case cfg.tracingOpts.RingSize > flight.MaxRingSize:
-		return nil, fmt.Errorf("rme: ring size %d exceeds %d", cfg.tracingOpts.RingSize, flight.MaxRingSize)
 	case cfg.segSlots < 0:
 		return nil, fmt.Errorf("rme: negative segment slot count %d", cfg.segSlots)
 	}
@@ -158,7 +148,6 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.levels = spec.Levels
 
 	// Build the one lock at its template layout. Its words occupy the
 	// sizer's lines after the reserved null line, so that is the line

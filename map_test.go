@@ -19,15 +19,6 @@ func TestNewMapValidation(t *testing.T) {
 	if _, err := NewMap(0); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if _, err := NewMap(2, WithoutReclamation()); err == nil {
-		t.Fatal("expected error for map without reclamation")
-	}
-	if _, err := NewMap(2, WithSlack(64)); err == nil {
-		t.Fatal("expected error for map with slack")
-	}
-	if _, err := NewMap(2, WithCapacity(1024)); err == nil {
-		t.Fatal("expected error for map with capacity")
-	}
 	if _, err := NewMap(2, WithShards(-1)); err == nil {
 		t.Fatal("expected error for negative shards")
 	}

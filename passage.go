@@ -56,7 +56,7 @@ func newEngine(n int, cfg *config) engine {
 		g.fail = func(pid int, op memory.OpInfo) bool { return labeled(pid, op.Label) }
 	}
 	if cfg.tracing {
-		g.fr = flight.NewRecorder(n, cfg.tracingOpts.RingSize)
+		g.fr = flight.NewRecorder(n, flight.DefaultRingSize)
 		g.fr.SetEnabled(!cfg.tracingOpts.Disabled)
 	}
 	return g

@@ -1,6 +1,7 @@
 package rme
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,8 +23,7 @@ import (
 // is precisely the power-failure-while-holding case). The contract is
 // enforced by detection, not trust: Snapshot verifies its copy with a
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
-// serializing a torn image. Snapshots require node reclamation (the
-// default), which keeps the arena layout fixed.
+// serializing a torn image.
 
 // snapMagic identifies the snapshot format. RMESNAP2 is the cache-line-
 // padded arena layout; RMESNAP1 streams (the old dense layout) are
@@ -38,9 +38,6 @@ const snapMagic = "RMESNAP2"
 var snapTable = crc64.MakeTable(crc64.ECMA)
 
 var (
-	// ErrSnapshotUnsupported is returned by Snapshot for mutexes built
-	// with WithoutReclamation, whose arena layout grows over time.
-	ErrSnapshotUnsupported = errors.New("rme: snapshot requires node reclamation (the default)")
 	// ErrBadSnapshot is returned by Restore when the stream is not a
 	// valid snapshot.
 	ErrBadSnapshot = errors.New("rme: invalid snapshot stream")
@@ -53,9 +50,6 @@ var (
 // Snapshot serializes the mutex's shared state to w. See the package
 // documentation of this file for the quiescence contract.
 func (m *Mutex) Snapshot(w io.Writer) error {
-	if !m.cfg.reclamation {
-		return ErrSnapshotUnsupported
-	}
 	words, err := m.arena.SnapshotWords()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotConcurrent, err)
@@ -66,7 +60,7 @@ func (m *Mutex) Snapshot(w io.Writer) error {
 		uint64(m.n),
 		uint64(m.cfg.base),
 		uint64(m.cfg.levels),
-		uint64(m.cfg.slack),
+		0, // word 4: unused, kept so the RMESNAP2 layout stays fixed
 		uint64(len(words)),
 	} {
 		header = binary.LittleEndian.AppendUint64(header, v)
@@ -94,6 +88,13 @@ func (m *Mutex) Snapshot(w io.Writer) error {
 // may install a failure-injection hook in the new lifetime (nil for none).
 // Every process of the previous lifetime is considered crashed: its next
 // Lock call performs recovery.
+//
+// The stream is the magic, five little-endian words — n, base, levels,
+// word 4 and nwords — then nwords body words and a CRC-64 footer. Word 4
+// is ignored: older streams stored an arena slack there, which moved no
+// address. Restore checks the header against the lock New builds for
+// (n, base) before building anything, so a stream that does not describe
+// that lock fails with ErrBadSnapshot.
 func Restore(r io.Reader, fail FailFunc) (*Mutex, error) {
 	header := make([]byte, 8+5*8)
 	if _, err := io.ReadFull(r, header); err != nil {
@@ -106,22 +107,31 @@ func Restore(r io.Reader, fail FailFunc) (*Mutex, error) {
 	for i := range fields {
 		fields[i] = binary.LittleEndian.Uint64(header[8+8*i:])
 	}
-	n := int(fields[0])
-	base := Base(fields[1])
-	levels := int(fields[2])
-	slack := int(fields[3])
-	nwords := int(fields[4])
-	if n < 1 || levels < 1 || nwords < 1 || nwords > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible header (n=%d levels=%d words=%d)", ErrBadSnapshot, n, levels, nwords)
+	n, base, levels, nwords := fields[0], fields[1], fields[2], fields[4]
+	// Each process's §7.2 pool holds at least 2n two-word nodes, so a
+	// lock for n processes spans at least 4n² words: bounding n by the
+	// body keeps the sizing below proportional to it. (n > nwords is
+	// tested first, so 4n² cannot overflow.)
+	if n < 1 || nwords > 1<<30 || n > nwords || 4*n*n > nwords {
+		return nil, fmt.Errorf("%w: implausible header (n=%d words=%d)", ErrBadSnapshot, n, nwords)
+	}
+	cfg := config{base: Base(base), fail: fail}
+	spec, err := cfg.lockSpec(int(n))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if levels != uint64(spec.Levels) {
+		return nil, fmt.Errorf("%w: %d levels, but New builds %d for n=%d", ErrBadSnapshot, levels, spec.Levels, n)
 	}
 
-	// Verify the integrity footer before acting on any header field: a
-	// corrupted base/levels value must surface as ErrBadSnapshot, not as a
-	// configuration error from New.
-	buf := make([]byte, 8*nwords)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// Read the body as it arrives, so a short stream never allocates the
+	// body its header claims, and verify the integrity footer before
+	// acting on it.
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, 8*int64(nwords)); err != nil {
 		return nil, fmt.Errorf("%w: short body: %v", ErrBadSnapshot, err)
 	}
+	buf := body.Bytes()
 	var footer [8]byte
 	if _, err := io.ReadFull(r, footer[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum footer (truncated stream?): %v", ErrBadSnapshot, err)
@@ -131,19 +141,11 @@ func Restore(r io.Reader, fail FailFunc) (*Mutex, error) {
 	if got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (stored %016x, computed %016x)", ErrBadSnapshot, want, got)
 	}
-
-	opts := []Option{WithBase(base), WithLevels(levels)}
-	if slack > 0 {
-		opts = append(opts, WithSlack(slack))
-	}
-	if fail != nil {
-		opts = append(opts, WithFailures(fail))
-	}
-	m, err := New(n, opts...)
-	if err != nil {
-		return nil, err
+	if words := footprint(spec, int(n)); words != int(nwords) {
+		return nil, fmt.Errorf("%w: %d words, but the lock for n=%d spans %d", ErrBadSnapshot, nwords, n, words)
 	}
 
+	m := newMutex(int(n), cfg, spec, int(nwords))
 	words := make([]uint64, nwords)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(buf[8*i:])

@@ -2,11 +2,17 @@ package rme
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"rme/internal/core"
 )
 
 func TestSnapshotRestoreIdle(t *testing.T) {
@@ -100,7 +106,7 @@ func TestSnapshotRestoreMidAcquisitionCrash(t *testing.T) {
 }
 
 func TestSnapshotRoundTripPreservesOptions(t *testing.T) {
-	m, err := New(5, WithBase(BaseArbTree), WithLevels(2))
+	m, err := New(5, WithBase(BaseArbTree))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +123,101 @@ func TestSnapshotRoundTripPreservesOptions(t *testing.T) {
 	}
 }
 
-func TestSnapshotWithoutReclamationRefused(t *testing.T) {
-	m, err := New(2, WithoutReclamation())
+// TestSnapshotFormatStable pins the RMESNAP2 header — magic, then n,
+// base, levels, word 4 and the body length — and checks that a stream
+// whose word 4 is non-zero, as streams with an arena slack once were,
+// still restores.
+func TestSnapshotFormatStable(t *testing.T) {
+	m, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Snapshot(&bytes.Buffer{}); err != ErrSnapshotUnsupported {
-		t.Fatalf("err = %v, want ErrSnapshotUnsupported", err)
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	if got := string(snap[:8]); got != "RMESNAP2" {
+		t.Fatalf("magic %q, want RMESNAP2", got)
+	}
+	want := []uint64{3, uint64(BaseTournament), uint64(core.DefaultLevels(3)), 0, uint64(m.Footprint())}
+	for i, w := range want {
+		if got := binary.LittleEndian.Uint64(snap[8+8*i:]); got != w {
+			t.Errorf("header word %d = %d, want %d", i, got, w)
+		}
+	}
+	if got, want := len(snap), 8+8*len(want)+8*m.Footprint()+8; got != want {
+		t.Fatalf("stream is %d bytes, want %d", got, want)
+	}
+
+	binary.LittleEndian.PutUint64(snap[8+3*8:], 4096)
+	end := len(snap) - 8
+	binary.LittleEndian.PutUint64(snap[end:], crc64.Checksum(snap[:end], snapTable))
+	m2, err := Restore(bytes.NewReader(snap), nil)
+	if err != nil {
+		t.Fatalf("stream with word 4 = 4096: %v", err)
+	}
+	if m2.Footprint() != m.Footprint() {
+		t.Fatalf("footprint %d after restore, want %d", m2.Footprint(), m.Footprint())
+	}
+	if !m2.Passage(2, func() {}) {
+		t.Fatal("passage failed after restore")
+	}
+}
+
+// snapStream assembles a snapshot stream from a header and a body, with a
+// valid CRC-64 footer.
+func snapStream(header [5]uint64, body int) []byte {
+	b := []byte(snapMagic)
+	for _, v := range header {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = append(b, make([]byte, 8*body)...)
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, snapTable))
+}
+
+// TestRestoreRejectsImplausibleHeader: a stream with a valid checksum
+// whose header names a lock other than the one New builds for its n and
+// base, or a body it does not carry, is refused with ErrBadSnapshot,
+// quickly and without allocating the arena or the body the header
+// claims.
+func TestRestoreRejectsImplausibleHeader(t *testing.T) {
+	tour := uint64(BaseTournament)
+	m2, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := uint64(m2.Footprint())
+	for _, c := range []struct {
+		name   string
+		header [5]uint64 // n, base, levels, word 4, nwords
+		body   int
+	}{
+		{"n=1<<62", [5]uint64{1 << 62, tour, 62, 0, 16}, 16},
+		{"n=65536", [5]uint64{65536, tour, 16, 0, 16}, 16},
+		{"n=1024 levels=1", [5]uint64{1024, tour, 1, 0, 16}, 16},
+		{"n=2 levels=1<<40", [5]uint64{2, tour, 1 << 40, 0, 16}, 16},
+		{"base=99", [5]uint64{2, 99, 1, 0, 16}, 16},
+		{"n=2 levels=2", [5]uint64{2, tour, 2, 0, f2}, int(f2)},
+		{"words=1<<30 body=16", [5]uint64{2, tour, 1, 0, 1 << 30}, 16},
+		{"words=footprint+8", [5]uint64{2, tour, 1, 0, f2 + 8}, int(f2 + 8)},
+	} {
+		stream := snapStream(c.header, c.body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := Restore(bytes.NewReader(stream), nil)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", c.name, err)
+		}
+		if took > 50*time.Millisecond {
+			t.Errorf("%s: rejected after %v, want under 50ms", c.name, took)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: allocated %d bytes before rejecting", c.name, alloc)
+		}
 	}
 }
 

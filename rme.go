@@ -51,10 +51,7 @@ const (
 
 type config struct {
 	base        Base
-	levels      int
-	reclamation bool
-	slack       int
-	capacity    int
+	levels      int // set by lockSpec, for the recorder and the snapshot header
 	metrics     bool
 	tracing     bool
 	tracingOpts TracingOptions
@@ -64,40 +61,28 @@ type config struct {
 	segSlots    int // Map only
 }
 
-// lockSpec resolves the configured base, levels and node sourcing into a
-// reusable build recipe (filling in the paper's default depth for the
-// base), shared by New and NewMap, which each build one lock from it.
+// lockSpec resolves the configured base into the paper's build recipe,
+// m = T(n) SA-Lock levels over the base with §7.2's node pools, and keeps
+// m in cfg.levels. New, NewMap and Restore each build one lock from it.
 func (cfg *config) lockSpec(n int) (core.LockSpec, error) {
-	levels := cfg.levels
-	if levels == 0 {
-		switch cfg.base {
-		case BaseArbTree:
-			levels = core.SubLogLevels(n)
-		default:
-			levels = core.DefaultLevels(n)
-		}
-	}
-	if levels < 1 {
-		return core.LockSpec{}, fmt.Errorf("rme: invalid level count %d", levels)
-	}
-	spec := core.LockSpec{Levels: levels}
+	spec := core.LockSpec{Source: func(sp memory.Space, n, level int) core.NodeSource {
+		return reclaim.NewPool(sp, n)
+	}}
 	switch cfg.base {
 	case BaseTournament:
+		spec.Levels = core.DefaultLevels(n)
 		spec.Base = func(sp memory.Space, n int) core.RecoverableLock {
 			return grlock.NewTournament(sp, n)
 		}
 	case BaseArbTree:
+		spec.Levels = core.SubLogLevels(n)
 		spec.Base = func(sp memory.Space, n int) core.RecoverableLock {
 			return arbtree.New(sp, n, 0)
 		}
 	default:
 		return core.LockSpec{}, fmt.Errorf("rme: unknown base lock %d", cfg.base)
 	}
-	if cfg.reclamation {
-		spec.Source = func(sp memory.Space, n, level int) core.NodeSource {
-			return reclaim.NewPool(sp, n)
-		}
-	}
+	cfg.levels = spec.Levels
 	return spec, nil
 }
 
@@ -106,25 +91,6 @@ type Option func(*config)
 
 // WithBase selects the base lock (default BaseTournament).
 func WithBase(b Base) Option { return func(c *config) { c.base = b } }
-
-// WithLevels overrides the recursion depth m (default: the paper's
-// m = T(n) choice for the selected base).
-func WithLevels(m int) Option { return func(c *config) { c.levels = m } }
-
-// WithoutReclamation disables the Section 7.2 node pools. Queue nodes are
-// then allocated fresh from the arena, whose extra capacity must be sized
-// with WithSlack; memory use grows with the number of passages.
-func WithoutReclamation() Option { return func(c *config) { c.reclamation = false } }
-
-// WithSlack reserves extra arena words beyond the lock's measured
-// footprint (needed only with WithoutReclamation).
-func WithSlack(words int) Option { return func(c *config) { c.slack = words } }
-
-// WithCapacity sets a floor on the arena's physical capacity in words.
-// The arena is always at least large enough for the lock's measured
-// footprint plus any slack; use this to pre-size for workloads known to
-// allocate more (only meaningful with WithoutReclamation).
-func WithCapacity(words int) Option { return func(c *config) { c.capacity = words } }
 
 // WithShards sets a Map's shard count (default 8, rounded up to a power
 // of two; NewMap rejects k above 1<<30). Keys hash over shards; each
@@ -177,12 +143,6 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 
 // TracingOptions configures the flight recorder (see WithTracing).
 type TracingOptions struct {
-	// RingSize is the per-process ring capacity in events, rounded up to
-	// a power of two; 0 selects flight.DefaultRingSize, and New and
-	// NewMap reject values above flight.MaxRingSize (1<<30). Older events
-	// are overwritten once the ring is full — the recorder is a flight
-	// recorder, not an unbounded log.
-	RingSize int
 	// Disabled constructs the recorder in the disabled state; enable it
 	// later with SetTracing(true). The instrumentation is wired either
 	// way, so toggling costs nothing but the per-emit flag check.
@@ -190,7 +150,8 @@ type TracingOptions struct {
 }
 
 // WithTracing enables the flight recorder: each process gets a
-// cache-line-padded ring buffer capturing its passage trajectory
+// cache-line-padded ring buffer of flight.DefaultRingSize events, the
+// oldest overwritten once it is full, capturing its passage trajectory
 // (passage begin/end, filter→splitter→{fast|core}→arbitrator phase
 // transitions with their BA-Lock level, CS enter/exit, crash/recover,
 // handoffs) with strictly monotone nanosecond timestamps, plus
@@ -222,57 +183,39 @@ type Mutex struct {
 }
 
 // New creates a recoverable mutex for n processes. It returns an error
-// for an invalid option, such as a TracingOptions.RingSize above 1<<30.
+// for an invalid option, such as an unknown Base.
 func New(n int, opts ...Option) (*Mutex, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rme: New(%d): need at least one process", n)
 	}
-	cfg := config{base: BaseTournament, reclamation: true}
+	cfg := config{base: BaseTournament}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.shards != 0 || cfg.segSlots != 0 {
+		return nil, fmt.Errorf("rme: WithShards/WithSegmentSlots apply to NewMap, not New")
 	}
 	spec, err := cfg.lockSpec(n)
 	if err != nil {
 		return nil, err
 	}
-	cfg.levels = spec.Levels
+	return newMutex(n, cfg, spec, footprint(spec, n)), nil
+}
 
-	if cfg.capacity < 0 {
-		return nil, fmt.Errorf("rme: negative capacity %d", cfg.capacity)
-	}
-	if cfg.slack < 0 {
-		// A negative slack would shrink the arena below the measured
-		// footprint and corrupt the deterministic layout.
-		return nil, fmt.Errorf("rme: negative slack %d", cfg.slack)
-	}
-	if cfg.shards != 0 || cfg.segSlots != 0 {
-		return nil, fmt.Errorf("rme: WithShards/WithSegmentSlots apply to NewMap, not New")
-	}
-	if cfg.tracingOpts.RingSize > flight.MaxRingSize {
-		return nil, fmt.Errorf("rme: ring size %d exceeds %d", cfg.tracingOpts.RingSize, flight.MaxRingSize)
-	}
-
-	// Measure the exact physical footprint by replaying the allocation
-	// sequence against a sizer with the same layout policy, then build
-	// for real. Construction is deterministic, so the real arena lands
-	// every allocation exactly where the sizer predicted.
+// footprint measures the exact physical footprint of spec's lock by
+// replaying its allocation sequence against a sizer with the arena's
+// layout policy.
+func footprint(spec core.LockSpec, n int) int {
 	sizer := memory.NewNativeSizer(n, true)
 	spec.Build(sizer, n)
-	capacity := sizer.Words() + cfg.slack
-	if !cfg.reclamation {
-		if cfg.slack == 0 {
-			capacity += 1 << 16 // room for dynamically allocated queue nodes
-		} else {
-			// Padded arenas round dynamic allocations up to whole lines
-			// per home; leave headroom so the requested slack is usable.
-			capacity += (n + 1) * memory.LineWords
-		}
-	}
-	if cfg.capacity > capacity {
-		capacity = cfg.capacity
-	}
+	return sizer.Words()
+}
 
-	arena := memory.NewNativeArena(n, capacity)
+// newMutex builds spec's lock into an arena of the given capacity, which
+// footprint measured. Construction is deterministic, so the real arena
+// lands every allocation exactly where the sizer predicted.
+func newMutex(n int, cfg config, spec core.LockSpec, words int) *Mutex {
+	arena := memory.NewNativeArena(n, words)
 	bal := spec.Build(arena, n)
 	m := &Mutex{eng: newEngine(n, &cfg), n: n, cfg: cfg, arena: arena}
 	if cfg.metrics {
@@ -284,7 +227,7 @@ func New(n int, opts ...Option) (*Mutex, error) {
 		s := &m.eng.procs[i]
 		s.lock, s.port, s.rec = bal, m.eng.port(arena, i, m.rec), m.rec
 	}
-	return m, nil
+	return m
 }
 
 // N returns the number of processes.

@@ -16,23 +16,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if _, err := New(2, WithLevels(-1)); err == nil {
-		t.Fatal("expected error for negative levels")
-	}
 	if _, err := New(2, WithBase(Base(99))); err == nil {
 		t.Fatal("expected error for unknown base")
-	}
-	// A negative slack would shrink the arena below the sizer-measured
-	// footprint and build a corrupt under-sized arena; it must be
-	// rejected up front, like a negative capacity.
-	if _, err := New(2, WithSlack(-1)); err == nil {
-		t.Fatal("expected error for negative slack")
-	}
-	if _, err := New(2, WithoutReclamation(), WithSlack(-512)); err == nil {
-		t.Fatal("expected error for negative slack without reclamation")
-	}
-	if _, err := New(2, WithCapacity(-1)); err == nil {
-		t.Fatal("expected error for negative capacity")
 	}
 	// Map-only options are rejected by New rather than silently ignored.
 	if _, err := New(2, WithShards(4)); err == nil {
@@ -290,58 +275,11 @@ func TestFootprintBoundedWithReclamation(t *testing.T) {
 	}
 }
 
-func TestWithoutReclamationGrows(t *testing.T) {
-	m, err := New(2, WithoutReclamation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Footprint()
-	for k := 0; k < 50; k++ {
-		m.Lock(0)
-		m.Unlock(0)
-	}
-	if got := m.Footprint(); got <= before {
-		t.Fatalf("footprint did not grow without reclamation: %d → %d", before, got)
-	}
-}
-
-func TestWithCapacityFloor(t *testing.T) {
-	small, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A capacity below the measured footprint is a no-op floor...
-	m, err := New(2, WithCapacity(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Footprint() != small.Footprint() {
-		t.Fatalf("tiny WithCapacity changed the layout: %d vs %d", m.Footprint(), small.Footprint())
-	}
-	// ...and a negative one is rejected.
-	if _, err := New(2, WithCapacity(-1)); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	// A large floor pre-sizes the arena without perturbing addresses: the
-	// lock still works and its footprint (allocated words) is unchanged.
-	big, err := New(2, WithCapacity(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Footprint() != small.Footprint() {
-		t.Fatalf("WithCapacity perturbed the layout: %d vs %d", big.Footprint(), small.Footprint())
-	}
-	if !big.Passage(0, func() {}) {
-		t.Fatal("passage failed on pre-sized arena")
-	}
-}
-
-// TestPowerOfTwoOptionsBounded: WithShards and TracingOptions.RingSize
-// round up to a power of two, so a count above the largest power of two
-// an int holds on every platform (1<<30) must come back as an error at
-// once rather than spin a doubling counter through overflow forever.
+// TestPowerOfTwoOptionsBounded: WithShards rounds up to a power of two,
+// so a count above the largest power of two an int holds on every
+// platform (1<<30) must come back as an error at once rather than spin a
+// doubling counter through overflow forever.
 func TestPowerOfTwoOptionsBounded(t *testing.T) {
-	tracing := func(k int) Option { return WithTracing(TracingOptions{RingSize: k}) }
 	rejects := func(name string, build func() error) {
 		t.Helper()
 		done := make(chan error, 1)
@@ -357,44 +295,7 @@ func TestPowerOfTwoOptionsBounded(t *testing.T) {
 	}
 	// math.MaxInt/2 + 2 is 1<<62+1 on 64-bit platforms.
 	for _, k := range []int{1<<30 + 1, math.MaxInt/2 + 2} {
-		rejects(fmt.Sprintf("New ring %d", k), func() error { _, err := New(2, tracing(k)); return err })
-		rejects(fmt.Sprintf("NewMap ring %d", k), func() error { _, err := NewMap(2, tracing(k)); return err })
 		rejects(fmt.Sprintf("NewMap shards %d", k), func() error { _, err := NewMap(2, WithShards(k)); return err })
-	}
-
-	m, err := New(2, tracing(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.eng.fr.RingSize(); got != 1024 {
-		t.Errorf("New ring 1000 rounded to %d, want 1024", got)
-	}
-	ma, err := NewMap(2, tracing(1000), WithShards(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ma.eng.fr.RingSize(); got != 1024 {
-		t.Errorf("NewMap ring 1000 rounded to %d, want 1024", got)
-	}
-	if got := len(ma.shards); got != 8 {
-		t.Errorf("5 shards rounded to %d, want 8", got)
-	}
-}
-
-func TestOptionsCombinations(t *testing.T) {
-	for _, opts := range [][]Option{
-		{WithBase(BaseArbTree), WithLevels(2)},
-		{WithLevels(1)},
-		{WithoutReclamation(), WithSlack(1 << 12)},
-		{WithCapacity(1 << 14), WithoutReclamation()},
-	} {
-		m, err := New(3, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Passage(1, func() {}) {
-			t.Fatal("passage failed")
-		}
 	}
 }
 

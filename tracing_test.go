@@ -115,7 +115,7 @@ func TestTracingFailureFree(t *testing.T) {
 // TestTracingRuntimeToggle pins SetTracing: recording stops and resumes
 // without rebuilding the lock.
 func TestTracingRuntimeToggle(t *testing.T) {
-	m, err := rme.New(1, rme.WithTracing(rme.TracingOptions{RingSize: 64, Disabled: true}))
+	m, err := rme.New(1, rme.WithTracing(rme.TracingOptions{Disabled: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +258,10 @@ func TestConcurrentTracingSnapshots(t *testing.T) {
 		}
 		return false
 	}
-	// Small rings force constant overwriting under the samplers.
-	m, err := rme.New(n, rme.WithTracing(rme.TracingOptions{RingSize: 128}),
-		rme.WithFailures(fail))
+	// Outside -short, every process emits more events than its ring's
+	// flight.DefaultRingSize slots, so the samplers race overwrites
+	// (checked after the run).
+	m, err := rme.New(n, rme.WithTracing(rme.TracingOptions{}), rme.WithFailures(fail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +312,9 @@ func TestConcurrentTracingSnapshots(t *testing.T) {
 		}
 		if last := events[len(events)-1].Kind; last != flight.KindPassageEnd {
 			t.Errorf("p%d last event = %v, want passage-end", pid, last)
+		}
+		if first := events[0].Seq; !testing.Short() && first == 0 {
+			t.Errorf("p%d still holds its first event: the ring never overwrote", pid)
 		}
 	}
 }
