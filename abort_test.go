@@ -487,6 +487,43 @@ func TestAbortCrashRecoverStress(t *testing.T) {
 		s.Attempts, s.Passages, s.Aborted, s.CrashedAttempts, s.Crashes)
 }
 
+// TestPassageCtxLeavesDoneUnallocated: an uncontended passage never
+// pauses, so PassageCtx never asks its context for the Done channel,
+// which a cancellable context allocates on the first call and cancel
+// then closes. Under a fresh WithTimeout context that never fires, the
+// passage adds no allocation to creating and cancelling the context.
+func TestPassageCtxLeavesDoneUnallocated(t *testing.T) {
+	m, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma, err := NewMap(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := func() {}
+	ma.Passage(0, "live", cs) // instantiate the key up front
+	withTimeout := func(passage func(ctx context.Context)) func() {
+		return func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			passage(ctx)
+			cancel()
+		}
+	}
+	bare := testing.AllocsPerRun(200, withTimeout(func(context.Context) {}))
+	for _, c := range []struct {
+		name    string
+		passage func(ctx context.Context)
+	}{
+		{"Mutex.PassageCtx", func(ctx context.Context) { m.PassageCtx(ctx, 0, cs) }},
+		{"Map.PassageCtx", func(ctx context.Context) { ma.PassageCtx(ctx, 0, "live", cs) }},
+	} {
+		if got := testing.AllocsPerRun(200, withTimeout(c.passage)); got != bare {
+			t.Errorf("%s: %v allocs with the context, want %v, the context's own", c.name, got, bare)
+		}
+	}
+}
+
 // TestPassageZeroAllocs pins the passage driver at zero heap allocations
 // per call — including an abortable passage under a context that never
 // fires, whose cancellation poll reads ctx.Done() on the acquiring

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"slices"
+
+	"rme"
 )
 
 // soloRMRs is the exact median cost, in CC-model RMRs, of a failure-free
@@ -70,6 +72,8 @@ var gates = map[string][]gate{
 			func(r Row) bool {
 				return r.Recycled > 0 && r.Evictions > 0 && r.FootprintWords < r.DistinctKeys*r.SlotWords
 			}),
+		every("slot-words", "slot_words == rme.NewMap(workers, base).SlotWords() for the row's lock", false, nil,
+			func(r Row) bool { return r.SlotWords == mapSlotWords(r.Lock, r.Workers) }),
 		anchored("metrics-anchor", "rmr_median <= 2x the metrics F=0 median",
 			func(r Row) bool { return r.Mode == "hot" },
 			func(r, base Row) bool { return r.RMRMedian <= 2*base.RMRMedian }),
@@ -127,6 +131,19 @@ var gates = map[string][]gate{
 			return nil
 		}},
 	},
+}
+
+// mapSlotWords is the region size, in words, of a Map for workers
+// processes on the named native lock, or -1 when there is no such Map.
+func mapSlotWords(lock string, workers int) int {
+	for _, lk := range nativeLocks {
+		if lk.name == lock {
+			if m, err := rme.NewMap(workers, lk.opts...); err == nil {
+				return m.SlotWords()
+			}
+		}
+	}
+	return -1
 }
 
 // rowsGate applies to every schema: a report measures something.

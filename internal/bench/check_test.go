@@ -44,6 +44,7 @@ var mutations = map[string]func(r *Report){
 	},
 	"map/zipf-skew":      func(r *Report) { r.Results[1].ZipfS = 1 },
 	"map/churn-recycles": func(r *Report) { r.Results[2].Recycled = 0 },
+	"map/slot-words":     func(r *Report) { r.Results[3].SlotWords -= 8 },
 	"map/metrics-anchor": func(r *Report) { r.Results[0].RMRMedian = 63 },
 
 	"des/locks":           func(r *Report) { r.Results[0].Lock = "ba-other" },

@@ -69,20 +69,27 @@ type Arbitrator struct {
 	spin   []memory.Addr  // per-process local spin words
 }
 
-// New allocates an arbitrator for n processes in sp.
+// sharedWords is the number of shared words: turn, then flag, who and
+// sstate for each side.
+const sharedWords = 7
+
+// New allocates an arbitrator for n processes in sp. The shared words
+// are one allocation, so a native arena puts them on one cache line of
+// their own: only the two sides' occupants touch them, and a waiter
+// spins on its own spin word, never on them.
 func New(sp memory.Space, n int) *Arbitrator {
 	if n < 1 {
 		panic(fmt.Sprintf("yalock: New n = %d", n))
 	}
+	base := sp.Alloc(sharedWords, memory.HomeNone)
 	a := &Arbitrator{
 		n:    n,
-		turn: sp.Alloc(1, memory.HomeNone),
+		turn: base,
 		spin: make([]memory.Addr, n),
 	}
 	for s := 0; s < 2; s++ {
-		a.flag[s] = sp.Alloc(1, memory.HomeNone)
-		a.who[s] = sp.Alloc(1, memory.HomeNone)
-		a.sstate[s] = sp.Alloc(1, memory.HomeNone)
+		side := base + 1 + 3*memory.Addr(s)
+		a.flag[s], a.who[s], a.sstate[s] = side, side+1, side+2
 	}
 	for i := 0; i < n; i++ {
 		a.spin[i] = sp.Alloc(1, i) // spin locally under DSM

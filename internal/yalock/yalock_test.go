@@ -263,3 +263,59 @@ func TestArbitratorLeavingCleanupByNextEntrant(t *testing.T) {
 	}
 	arb.Exit(p1, Left)
 }
+
+// lineHomes is a Space that records, for every cache line an allocation
+// touches, the home of each allocation on it.
+type lineHomes struct {
+	memory.Space
+	homes map[memory.Addr][]int
+}
+
+func (l *lineHomes) Alloc(nwords, home int) memory.Addr {
+	a := l.Space.Alloc(nwords, home)
+	for line := a / memory.LineWords; line <= (a+memory.Addr(nwords)-1)/memory.LineWords; line++ {
+		l.homes[line] = append(l.homes[line], home)
+	}
+	return a
+}
+
+// TestArbitratorLayout: the seven shared words are consecutive, in the
+// order turn, then flag, who and sstate of each side, so the simulated
+// arena gives them the addresses it gave seven one-word allocations. In
+// a sized native arena they share one line that holds no other word, and
+// each spin[i] lies in process i's stripe.
+func TestArbitratorLayout(t *testing.T) {
+	const n, arbs = 8, 3
+	build := func(sp memory.Space) []*Arbitrator {
+		as := make([]*Arbitrator, arbs)
+		for k := range as {
+			as[k] = New(sp, n)
+		}
+		return as
+	}
+	sizer := memory.NewNativeSizer(n, true)
+	build(sizer)
+	sp := &lineHomes{Space: memory.NewNativeArena(n, sizer.Words()), homes: map[memory.Addr][]int{}}
+	for k, a := range build(sp) {
+		shared := []memory.Addr{a.turn, a.flag[0], a.who[0], a.sstate[0], a.flag[1], a.who[1], a.sstate[1]}
+		for j, w := range shared {
+			if w != a.turn+memory.Addr(j) {
+				t.Errorf("arbitrator %d: shared word %d at %d, want %d", k, j, w, a.turn+memory.Addr(j))
+			}
+		}
+		line := a.turn / memory.LineWords
+		if last := shared[len(shared)-1] / memory.LineWords; last != line {
+			t.Errorf("arbitrator %d: shared words span lines %d..%d", k, line, last)
+		}
+		if got := sp.homes[line]; len(got) != 1 || got[0] != memory.HomeNone {
+			t.Errorf("arbitrator %d: shared line %d holds allocations of homes %v, want only its own", k, line, got)
+		}
+		for i, w := range a.spin {
+			for _, h := range sp.homes[w/memory.LineWords] {
+				if h != i {
+					t.Errorf("arbitrator %d: spin[%d]'s line holds a word of home %d", k, i, h)
+				}
+			}
+		}
+	}
+}

@@ -31,16 +31,17 @@ type engine struct {
 // at New; a Map's engagement survives an injected crash only because a
 // panic does not erase Go memory.
 type proc struct {
-	// done is the pending LockCtx's ctx.Done() while it runs Recover and
-	// Enter, nil otherwise. The port's Pause hook polls it on the same
-	// goroutine, so it needs no synchronization.
-	done <-chan struct{}
+	// ctx is the pending LockCtx's context while it runs Recover and
+	// Enter, nil otherwise. The port's Pause hook polls its Done channel
+	// on the same goroutine, so it needs no synchronization, and only a
+	// process that spins asks for the channel at all.
+	ctx  context.Context
 	lock *core.BALock
 	port memory.Port
 	rec  *metrics.Recorder // metrics for port; nil unless WithMetrics
 	e    *region           // Map only: the engaged key's region, nil when none
 	inCS bool              // acquired and not released; a Map engages no other key
-	_    [15]byte          // pad to one cache line
+	_    [7]byte           // pad to one cache line
 }
 
 func newEngine(n int, cfg *config) engine {
@@ -77,8 +78,11 @@ func (g *engine) port(arena *memory.NativeArena, pid int, rec *metrics.Recorder)
 	np := arena.Port(pid, g.fail)
 	s := &g.procs[pid]
 	np.SetAbortHook(func(int) bool {
+		if s.ctx == nil {
+			return false
+		}
 		select {
-		case <-s.done:
+		case <-s.ctx.Done():
 			return true
 		default:
 			return false
@@ -135,7 +139,7 @@ func (g *engine) lock(ctx context.Context, pid int, key string) error {
 		// Already cancelled: the lock is never touched, but the attempt
 		// still counts, so abort-rate denominators match the mid-spin
 		// path (a TryLockFor with a non-positive deadline lands here).
-	case s.enter(pid, ctx.Done()):
+	case s.enter(pid, ctx):
 		// Cancelled while spinning: the abandoned queue state is
 		// persisted first, so a crash mid-back-out is repaired by the
 		// next Lock.
@@ -157,15 +161,15 @@ func (g *engine) lock(ctx context.Context, pid int, key string) error {
 	return ctx.Err()
 }
 
-// enter runs Recover and Enter with the Pause hook polling done (nil
-// never fires), and reports whether the poll fired — the process's own
+// enter runs Recover and Enter with the Pause hook polling ctx's Done
+// channel, and reports whether the poll fired — the process's own
 // ErrAbort unwind. The poll is disarmed on every way out, so a stale
-// channel can never abort a later acquisition or the back-out itself.
+// context can never abort a later acquisition or the back-out itself.
 // Any other panic, including ErrCrash, propagates.
-func (s *proc) enter(pid int, done <-chan struct{}) (aborted bool) {
-	s.done = done
+func (s *proc) enter(pid int, ctx context.Context) (aborted bool) {
+	s.ctx = ctx
 	defer func() {
-		s.done = nil
+		s.ctx = nil
 		if e := recover(); e != nil {
 			if ab, ok := e.(memory.ErrAbort); ok && ab.PID == pid {
 				aborted = true

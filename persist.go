@@ -25,11 +25,17 @@ import (
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image.
 
-// snapMagic identifies the snapshot format. RMESNAP2 is the cache-line-
-// padded arena layout; RMESNAP1 streams (the old dense layout) are
-// rejected rather than silently misinterpreted, since word addresses
-// moved when the layout changed.
-const snapMagic = "RMESNAP2"
+// snapMagic identifies the snapshot format. RMESNAP3 is the padded arena
+// layout with each arbitrator's shared words on one cache line. Streams
+// of an older layout are refused rather than silently misinterpreted,
+// since word addresses moved when the layout changed: see oldSnapLayouts.
+const snapMagic = "RMESNAP3"
+
+// oldSnapLayouts names the layout each refused magic recorded.
+var oldSnapLayouts = map[string]string{
+	"RMESNAP1": "the dense arena layout",
+	"RMESNAP2": "the padded layout with a cache line per arbitrator word",
+}
 
 // snapTable is the CRC-64 polynomial for the integrity footer appended to
 // every snapshot: the checksum of header plus body, little-endian, trails
@@ -60,7 +66,7 @@ func (m *Mutex) Snapshot(w io.Writer) error {
 		uint64(m.n),
 		uint64(m.cfg.base),
 		uint64(m.cfg.levels),
-		0, // word 4: unused, kept so the RMESNAP2 layout stays fixed
+		0, // word 4: unused, kept so the header layout stays fixed
 		uint64(len(words)),
 	} {
 		header = binary.LittleEndian.AppendUint64(header, v)
@@ -91,16 +97,20 @@ func (m *Mutex) Snapshot(w io.Writer) error {
 //
 // The stream is the magic, five little-endian words — n, base, levels,
 // word 4 and nwords — then nwords body words and a CRC-64 footer. Word 4
-// is ignored: older streams stored an arena slack there, which moved no
-// address. Restore checks the header against the lock New builds for
-// (n, base) before building anything, so a stream that does not describe
-// that lock fails with ErrBadSnapshot.
+// is reserved: Snapshot writes 0 and Restore ignores it (RMESNAP2
+// streams once stored an arena slack there). Restore checks the header
+// against the lock New builds for (n, base) before building anything,
+// so a stream that does not describe that lock fails with
+// ErrBadSnapshot.
 func Restore(r io.Reader, fail FailFunc) (*Mutex, error) {
 	header := make([]byte, 8+5*8)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
 	}
-	if string(header[:8]) != snapMagic {
+	if magic := string(header[:8]); magic != snapMagic {
+		if old, ok := oldSnapLayouts[magic]; ok {
+			return nil, fmt.Errorf("%w: an %s stream records %s, which %s replaced", ErrBadSnapshot, magic, old, snapMagic)
+		}
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	fields := make([]uint64, 5)

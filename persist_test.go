@@ -123,10 +123,9 @@ func TestSnapshotRoundTripPreservesOptions(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatStable pins the RMESNAP2 header — magic, then n,
+// TestSnapshotFormatStable pins the RMESNAP3 header — magic, then n,
 // base, levels, word 4 and the body length — and checks that a stream
-// whose word 4 is non-zero, as streams with an arena slack once were,
-// still restores.
+// whose word 4 is non-zero still restores: the word is reserved.
 func TestSnapshotFormatStable(t *testing.T) {
 	m, err := New(3)
 	if err != nil {
@@ -137,8 +136,8 @@ func TestSnapshotFormatStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	if got := string(snap[:8]); got != "RMESNAP2" {
-		t.Fatalf("magic %q, want RMESNAP2", got)
+	if got := string(snap[:8]); got != "RMESNAP3" {
+		t.Fatalf("magic %q, want RMESNAP3", got)
 	}
 	want := []uint64{3, uint64(BaseTournament), uint64(core.DefaultLevels(3)), 0, uint64(m.Footprint())}
 	for i, w := range want {
@@ -165,10 +164,10 @@ func TestSnapshotFormatStable(t *testing.T) {
 	}
 }
 
-// snapStream assembles a snapshot stream from a header and a body, with a
-// valid CRC-64 footer.
-func snapStream(header [5]uint64, body int) []byte {
-	b := []byte(snapMagic)
+// snapStream assembles a snapshot stream from a magic, a header and a
+// body, with a valid CRC-64 footer.
+func snapStream(magic string, header [5]uint64, body int) []byte {
+	b := []byte(magic)
 	for _, v := range header {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
@@ -202,7 +201,7 @@ func TestRestoreRejectsImplausibleHeader(t *testing.T) {
 		{"words=1<<30 body=16", [5]uint64{2, tour, 1, 0, 1 << 30}, 16},
 		{"words=footprint+8", [5]uint64{2, tour, 1, 0, f2 + 8}, int(f2 + 8)},
 	} {
-		stream := snapStream(c.header, c.body)
+		stream := snapStream(snapMagic, c.header, c.body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -264,32 +263,30 @@ func TestSnapshotDetectsConcurrentMutation(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsGarbage: malformed streams, and streams of an older
+// layout, are refused with ErrBadSnapshot; an old layout's refusal names
+// its magic.
 func TestRestoreRejectsGarbage(t *testing.T) {
+	tour := uint64(BaseTournament)
 	cases := map[string]string{
 		"empty":     "",
 		"bad magic": "NOTASNAPxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
 		// The dense-layout v1 format is a different physical layout;
-		// restoring it as v2 would scatter words, so it must be refused.
-		"old format": "RMESNAP1\x01\x00\x00\x00\x00\x00\x00\x00",
-		"truncated":  "RMESNAP2\x01\x00\x00\x00\x00\x00\x00\x00",
+		// restoring it as v3 would scatter words, so it must be refused.
+		"RMESNAP1": "RMESNAP1" + strings.Repeat("\x01\x00\x00\x00\x00\x00\x00\x00", 5),
+		// The n = 8 lock of the v2 layout, which gave each arbitrator
+		// word a line of its own: 2728 words with a valid checksum.
+		"RMESNAP2":  string(snapStream("RMESNAP2", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 2728}, 2728)),
+		"truncated": snapMagic + "\x01\x00\x00\x00\x00\x00\x00\x00",
+		"n=0":       string(snapStream(snapMagic, [5]uint64{0, 1, 1, 0, 10}, 10)),
 	}
 	for name, s := range cases {
-		if _, err := Restore(strings.NewReader(s), nil); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, err := Restore(strings.NewReader(s), nil)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		} else if strings.HasPrefix(name, "RMESNAP") && !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %q does not name the old layout", name, err)
 		}
-	}
-	// Implausible header values.
-	var buf bytes.Buffer
-	buf.WriteString("RMESNAP2")
-	for _, v := range []uint64{0, 1, 1, 0, 10} { // n = 0
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		buf.Write(b[:])
-	}
-	if _, err := Restore(&buf, nil); err == nil {
-		t.Error("accepted n=0 header")
 	}
 }
 

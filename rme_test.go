@@ -275,6 +275,46 @@ func TestFootprintBoundedWithReclamation(t *testing.T) {
 	}
 }
 
+// TestLayoutFootprints pins the native layout's sizes: a Mutex's
+// footprint and a Map region's size, in words, for both bases. Each
+// arbitrator's seven shared words fill one cache line. Every footprint
+// also clears the 4n² floor Restore holds a snapshot's length to, since
+// the pools alone take 8n² words per level.
+func TestLayoutFootprints(t *testing.T) {
+	for _, c := range []struct {
+		base            Base
+		n               int
+		footprint, slot int
+	}{
+		{BaseTournament, 1, 56, 48},
+		{BaseTournament, 2, 104, 96},
+		{BaseTournament, 8, 2248, 2240},
+		{BaseTournament, 64, 230544, 230536},
+		{BaseArbTree, 1, 56, 48},
+		{BaseArbTree, 2, 184, 176},
+		{BaseArbTree, 8, 1872, 1864},
+		{BaseArbTree, 64, 117480, 117472},
+	} {
+		m, err := New(c.n, WithBase(c.base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ma, err := NewMap(c.n, WithBase(c.base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Footprint(); got != c.footprint {
+			t.Errorf("base %v n=%d: Footprint() = %d, want %d", c.base, c.n, got, c.footprint)
+		}
+		if got := ma.SlotWords(); got != c.slot {
+			t.Errorf("base %v n=%d: SlotWords() = %d, want %d", c.base, c.n, got, c.slot)
+		}
+		if floor := 4 * c.n * c.n; m.Footprint() < floor {
+			t.Errorf("base %v n=%d: footprint %d below Restore's floor %d", c.base, c.n, m.Footprint(), floor)
+		}
+	}
+}
+
 // TestPowerOfTwoOptionsBounded: WithShards rounds up to a power of two,
 // so a count above the largest power of two an int holds on every
 // platform (1<<30) must come back as an error at once rather than spin a
