@@ -281,7 +281,7 @@ func BenchmarkComponents(b *testing.B) {
 // --- Section 7.2: reclamation space bound -----------------------------------
 
 func BenchmarkReclaimSpace(b *testing.B) {
-	for _, lock := range []string{"wr", "wr-pool"} {
+	for _, lock := range []string{"wr-fresh", "wr"} {
 		b.Run(lock, func(b *testing.B) {
 			var last bench.Metrics
 			for i := 0; i < b.N; i++ {

@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,6 +43,7 @@ type options struct {
 	ropts bench.ReportOpts
 	seed  int64
 	json  bool
+	out   io.Writer
 }
 
 // experiment is one registry entry: the dispatch name, the one-line
@@ -61,14 +63,14 @@ type doc interface {
 // show prints d as text, or as its JSON document under -json.
 func show(o options, d doc) error {
 	if !o.json {
-		fmt.Println(d)
+		fmt.Fprintln(o.out, d)
 		return nil
 	}
 	raw, err := d.JSON()
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(raw))
+	fmt.Fprintln(o.out, string(raw))
 	return nil
 }
 
@@ -98,15 +100,15 @@ var experiments = []experiment{
 		return show(o, bench.Table2(o.opts))
 	}},
 	{"figure1", "Figure 1: sub-queue fragmentation after unsafe failures", func(o options) error {
-		fmt.Println(bench.Figure1(o.seed))
+		fmt.Fprintln(o.out, bench.Figure1(o.seed))
 		return nil
 	}},
 	{"figure2", "Figure 2: the semi-adaptive framework, with routing trace", func(o options) error {
-		fmt.Println(bench.Figure2(o.seed))
+		fmt.Fprintln(o.out, bench.Figure2(o.seed))
 		return nil
 	}},
 	{"figure3", "Figure 3: the recursive framework, with escalation trace", func(o options) error {
-		fmt.Println(bench.Figure3(o.opts))
+		fmt.Fprintln(o.out, bench.Figure3(o.opts))
 		return nil
 	}},
 	{"adaptivity", "Theorem 5.18: RMRs vs F with sqrt(F) fit (headline result)", func(o options) error {
@@ -168,7 +170,7 @@ func run(name string, o options) error {
 			if err := e.run(o); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(o.out)
 		}
 		return nil
 	}
@@ -204,52 +206,31 @@ func list[T any](flagName, s string, parse func(string) (T, error)) []T {
 	return out
 }
 
-func main() {
+// parseOptions declares the experiment flags on fs, parses args and
+// returns the options they select, with output going to out.
+func parseOptions(fs *flag.FlagSet, args []string, out io.Writer) (options, error) {
 	var (
-		n        = flag.Int("n", 16, "number of processes")
-		requests = flag.Int("requests", 5, "satisfied requests per process")
-		failures = flag.Int("failures", 0, "failure budget for the F-failures scenario (default n)")
-		seeds    = flag.String("seeds", "1,2,3", "comma-separated seeds to average over")
-		seed     = flag.Int64("seed", 21, "seed for single-run figures")
-		jsonOut  = flag.Bool("json", false, "emit tables and reports as JSON")
-		check    = flag.Bool("check", false, "gate the BENCH_*.json files named as arguments instead of running an experiment")
-		workers  = flag.Int("workers", 8, "metrics/tracing: max concurrent workers; abort/map/des: workers")
-		passages = flag.Int("passages", 20000, "tracing: passages per rep")
-		reps     = flag.Int("reps", 3, "tracing: reps per measurement (median kept)")
-		mpass    = flag.Int("mpassages", 5000, "metrics/abort/map: passages per measurement")
-		mfail    = flag.String("mfailures", "1,2,4,8,16,32", "metrics: comma-separated injected failure budgets F")
-		churnkey = flag.Int("churnkeys", 2048, "map: distinct keys in the churn mode")
-		desreq   = flag.Int("desrequests", 60, "des: satisfied requests per process per run")
-		desrates = flag.String("desrates", "", "des: comma-separated arrival-rate ramp (req/s per process; default 2k,10k,50k,200k,1M)")
-		desseed  = flag.Int64("desseed", 1, "des: seed (fixed so BENCH_des.json is reproducible)")
-		deskeys  = flag.Int("deskeys", 16, "des: zipf-regime keyspace size")
-		descrash = flag.Int("descrashes", 24, "des: crash-regime failure budget")
-		version  = flag.Bool("version", false, "print build info and exit")
+		n        = fs.Int("n", 16, "number of processes")
+		requests = fs.Int("requests", 5, "satisfied requests per process")
+		failures = fs.Int("failures", 0, "failure budget for the F-failures scenario (default n)")
+		seeds    = fs.String("seeds", "1,2,3", "comma-separated seeds to average over")
+		seed     = fs.Int64("seed", 21, "seed for single-run figures")
+		jsonOut  = fs.Bool("json", false, "emit tables and reports as JSON")
+		workers  = fs.Int("workers", 8, "metrics/tracing: max concurrent workers; abort/map/des: workers")
+		passages = fs.Int("passages", 20000, "tracing: passages per rep")
+		reps     = fs.Int("reps", 3, "tracing: reps per measurement (median kept)")
+		mpass    = fs.Int("mpassages", 5000, "metrics/abort/map: passages per measurement")
+		mfail    = fs.String("mfailures", "1,2,4,8,16,32", "metrics: comma-separated injected failure budgets F")
+		churnkey = fs.Int("churnkeys", 2048, "map: distinct keys in the churn mode")
+		desreq   = fs.Int("desrequests", 60, "des: satisfied requests per process per run")
+		desrates = fs.String("desrates", "", "des: comma-separated arrival-rate ramp (req/s per process; default 2k,10k,50k,200k,1M)")
+		desseed  = fs.Int64("desseed", 1, "des: seed (fixed so BENCH_des.json is reproducible)")
+		deskeys  = fs.Int("deskeys", 16, "des: zipf-regime keyspace size")
+		descrash = fs.Int("descrashes", 24, "des: crash-regime failure budget")
 	)
-	flag.Usage = func() {
-		fmt.Fprint(os.Stderr, usageText())
-		flag.PrintDefaults()
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
 	}
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.String("rmebench"))
-		return
-	}
-	if *check && flag.NArg() == 0 || !*check && flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *check {
-		ok, err := checkFiles(flag.Args())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmebench: %v\n", err)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
 	o := options{
 		opts: bench.Opts{N: *n, Requests: *requests, Failures: *failures,
 			Seeds: list("seeds", *seeds, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })},
@@ -267,6 +248,7 @@ func main() {
 		},
 		seed: *seed,
 		json: *jsonOut,
+		out:  out,
 	}
 	if *desrates != "" {
 		o.ropts.DESRates = list("desrates", *desrates, func(s string) (float64, error) {
@@ -276,6 +258,37 @@ func main() {
 			}
 			return v, err
 		})
+	}
+	return o, nil
+}
+
+func main() {
+	var (
+		check   = flag.Bool("check", false, "gate the BENCH_*.json files named as arguments instead of running an experiment")
+		version = flag.Bool("version", false, "print build info and exit")
+	)
+	flag.Usage = func() {
+		fmt.Fprint(os.Stderr, usageText())
+		flag.PrintDefaults()
+	}
+	o, _ := parseOptions(flag.CommandLine, os.Args[1:], os.Stdout)
+	if *version {
+		fmt.Println(buildinfo.String("rmebench"))
+		return
+	}
+	if *check && flag.NArg() == 0 || !*check && flag.NArg() != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *check {
+		ok, err := checkFiles(flag.Args())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rmebench: %v\n", err)
+		}
+		if !ok {
+			os.Exit(1)
+		}
+		return
 	}
 	if err := run(flag.Arg(0), o); err != nil {
 		fmt.Fprintf(os.Stderr, "rmebench: %v\n", err)

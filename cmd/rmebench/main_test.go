@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,8 +106,7 @@ func quiet(t *testing.T) {
 // TestRunDES exercises the des experiment end to end at miniature scale,
 // through the des flags' options.
 func TestRunDES(t *testing.T) {
-	quiet(t)
-	o := options{json: true, ropts: bench.ReportOpts{Workers: 2, DESRequests: 4,
+	o := options{json: true, out: io.Discard, ropts: bench.ReportOpts{Workers: 2, DESRequests: 4,
 		DESRates: []float64{5_000}, DESKeys: 4, DESCrashes: 2}}
 	if err := run("des", o); err != nil {
 		t.Fatal(err)
@@ -131,5 +133,93 @@ func TestCheckFiles(t *testing.T) {
 	}
 	if ok, err := checkFiles([]string{filepath.Join(t.TempDir(), "missing.json")}); ok || err == nil {
 		t.Fatalf("missing file: ok=%v err=%v, want an error", ok, err)
+	}
+}
+
+// simulatorExperiments are the experiments whose output is deterministic
+// and quoted in EXPERIMENTS.md.
+var simulatorExperiments = []string{"table1", "table2", "figure1", "figure2", "figure3",
+	"adaptivity", "escalation", "batch", "resp", "components", "scale", "ablation", "reclaim"}
+
+// pinnedBlock is a fenced block of EXPERIMENTS.md whose first line is an
+// rmebench command: the rest of the block is that command's output.
+type pinnedBlock struct {
+	args []string
+	want string
+}
+
+// pinnedBlocks extracts every pinned block from doc.
+func pinnedBlocks(doc string) []pinnedBlock {
+	const prompt = "$ go run ./cmd/rmebench "
+	var (
+		out    []pinnedBlock
+		block  []string
+		inside bool
+	)
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case !strings.HasPrefix(line, "```"):
+			block = append(block, line)
+		case !inside:
+			inside, block = true, nil
+		default:
+			inside = false
+			if len(block) > 0 && strings.HasPrefix(block[0], prompt) {
+				out = append(out, pinnedBlock{strings.Fields(strings.TrimPrefix(block[0], prompt)),
+					strings.Join(block[1:], "\n")})
+			}
+		}
+	}
+	return out
+}
+
+// trimLines drops trailing blanks from every line and trailing empty lines.
+func trimLines(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.TrimRight(strings.Join(lines, "\n"), "\n")
+}
+
+// TestExperimentsMatchCode pins EXPERIMENTS.md to the code, as
+// TestDesignMatchesCode pins DESIGN.md: every simulator experiment has a
+// block that quotes its command, and each block's output is what the
+// command prints today, line for line.
+func TestExperimentsMatchCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every simulator table; skipped with -short")
+	}
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := pinnedBlocks(string(raw))
+	pinned := map[string]bool{}
+	for _, b := range blocks {
+		fs := flag.NewFlagSet("rmebench", flag.ContinueOnError)
+		var got bytes.Buffer
+		o, err := parseOptions(fs, b.args, &got)
+		if err != nil || fs.NArg() != 1 {
+			t.Errorf("rmebench %s: not one experiment (%v)", strings.Join(b.args, " "), err)
+			continue
+		}
+		name := fs.Arg(0)
+		pinned[name] = true
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if err := run(name, o); err != nil {
+				t.Fatal(err)
+			}
+			if g, w := trimLines(got.String()), trimLines(b.want); g != w {
+				t.Errorf("EXPERIMENTS.md's block for rmebench %s differs from the code's output.\ncode:\n%s\ndoc:\n%s",
+					strings.Join(b.args, " "), g, w)
+			}
+		})
+	}
+	for _, name := range simulatorExperiments {
+		if !pinned[name] {
+			t.Errorf("EXPERIMENTS.md pins no block for rmebench %s", name)
+		}
 	}
 }

@@ -152,12 +152,10 @@ func main() {
 	fmt.Printf("passage RMRs      %v\n", res.SummarizePassageRMRs(nil))
 	fmt.Printf("failure-free RMRs %v\n", res.SummarizePassageRMRs(func(p sim.PassageStat) bool { return !p.Crashed }))
 	fmt.Printf("request RMRs      %v\n", res.SummarizeRequestRMRs())
-	if spec.SlowLabels != nil {
-		fmt.Printf("max level reached %d of %d\n", check.MaxDepth(res, spec.SlowLabels(*n)), spec.Levels(*n))
-	}
 	levels := 1
 	if spec.Levels != nil {
 		levels = spec.Levels(*n)
+		fmt.Printf("max level reached %d of %d\n", check.MaxDepth(res, spec.SlowLabels(*n)), levels)
 	}
 	fmt.Printf("metrics     %s\n", res.MetricsSnapshot(levels))
 

@@ -11,18 +11,16 @@ import (
 	"rme/internal/des"
 	"rme/internal/regime"
 	"rme/internal/trace"
+	"rme/internal/workload"
 )
 
 // The -des mode soaks the virtual-time discrete-event simulator: the
-// pool-backed lock recipes under crash storms, uniform crash schedules
+// shipped locks (workload.Shipped) under crash storms, uniform crash schedules
 // and Zipf-keyed traffic, across many seeds. Violations produce two
 // artifacts in -out: a flight post-mortem of the lifecycle tail (the
 // rme-flight/v1 format cmd/rmetrace renders) and a des-repro JSON holding
 // the exact des.Config — the simulation is deterministic, so re-running
 // that config reproduces the violation bit for bit.
-
-// desLocks are the simulator specs matching the native lock recipes.
-var desLocks = []string{"ba-pool", "ba-sublog-pool"}
 
 // desCampaign parameterizes one DES soak; factored out of main so the
 // check-and-artifact pipeline is testable.
@@ -133,7 +131,7 @@ func (c *desCampaign) artifacts(regime string, cfg des.Config, res *des.Result, 
 // run executes the DES campaign and returns (runs, violations).
 func (c *desCampaign) run() (int, int) {
 	runs, failures := 0, 0
-	for _, lock := range desLocks {
+	for _, lock := range workload.Shipped() {
 		// One determinism probe per lock: the same config must hash the
 		// same trace twice.
 		probe := des.Config{Lock: lock, N: c.n, Requests: c.requests, Seed: 0,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rme/internal/des"
+	"rme/internal/workload"
 )
 
 // TestDESCampaignClean runs a miniature DES soak over the real locks and
@@ -19,7 +20,7 @@ func TestDESCampaignClean(t *testing.T) {
 	c := &desCampaign{seeds: 1, n: 4, requests: 4, outDir: dir, stdout: &out}
 	runs, violations := c.run()
 	// Per lock: 2 determinism probes + seeds × 3 regimes.
-	want := len(desLocks) * (2 + 1*3)
+	want := len(workload.Shipped()) * (2 + 1*3)
 	if runs != want {
 		t.Fatalf("%d runs, want %d; output:\n%s", runs, want, out.String())
 	}
@@ -38,7 +39,7 @@ func TestDESCampaignClean(t *testing.T) {
 // TestDESCampaignVerify exercises the checker against doctored results.
 func TestDESCampaignVerify(t *testing.T) {
 	c := &desCampaign{n: 4, requests: 2, stdout: &bytes.Buffer{}}
-	cfg := des.Config{Lock: "ba-pool", N: 4, Requests: 2, Seed: 1}
+	cfg := des.Config{Lock: "ba-log", N: 4, Requests: 2, Seed: 1}
 	res, err := des.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestDESCampaignArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	c := &desCampaign{n: 3, requests: 2, outDir: dir, stdout: &out}
-	cfg := des.Config{Lock: "ba-pool", N: 3, Requests: 2, Seed: 9,
+	cfg := des.Config{Lock: "ba-log", N: 3, Requests: 2, Seed: 9,
 		Crashes: des.Crashes{Kind: des.Uniform, Budget: 2}}
 	res, err := des.Run(cfg)
 	if err != nil {
@@ -83,7 +84,7 @@ func TestDESCampaignArtifacts(t *testing.T) {
 	}
 	c.artifacts("uniform", cfg, res, errFixture)
 
-	reproPath := filepath.Join(dir, "des-repro-ba-pool-uniform-seed9.json")
+	reproPath := filepath.Join(dir, "des-repro-ba-log-uniform-seed9.json")
 	blob, err := os.ReadFile(reproPath)
 	if err != nil {
 		t.Fatalf("missing repro artifact: %v\noutput:\n%s", err, out.String())
@@ -104,7 +105,7 @@ func TestDESCampaignArtifacts(t *testing.T) {
 		t.Fatalf("repro config diverged: %016x vs %016x", again.TraceHash, res.TraceHash)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, "flight-des-ba-pool-uniform-seed9.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "flight-des-ba-log-uniform-seed9.json")); err != nil {
 		t.Fatalf("missing flight artifact: %v", err)
 	}
 }

@@ -24,8 +24,8 @@
 // post-mortem of the run in progress, renderable with cmd/rmetrace.
 //
 // With -random N -des it soaks the virtual-time discrete-event simulator
-// (internal/des): its two pool-backed lock recipes under crash storms,
-// uniform crash schedules and Zipf-keyed bursty traffic, plus a
+// (internal/des): the two shipped locks under crash storms, uniform
+// crash schedules and Zipf-keyed bursty traffic, plus a
 // determinism probe per lock. A violation writes a flight post-mortem and
 // a des-repro config JSON; the simulation is deterministic, so re-running
 // the config reproduces the violation exactly.

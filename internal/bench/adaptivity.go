@@ -214,7 +214,7 @@ func Reclaim(o Opts) *Table {
 	o.fill()
 	t := &Table{
 		Title: "Memory reclamation (§7.2): shared-memory words vs workload length (wr, CC, n=8)",
-		Columns: []string{"requests/process", "wr (fresh nodes)", "wr-pool (Algorithm 4)",
+		Columns: []string{"requests/process", "wr-fresh (fresh nodes)", "wr (Algorithm 4)",
 			"wr-notify (DSM variant)"},
 		Notes: []string{
 			"with reclamation the footprint is fixed at initialization (bounded space);",
@@ -224,7 +224,7 @@ func Reclaim(o Opts) *Table {
 	for _, reqs := range []int{5, 20, 80} {
 		var cells []interface{}
 		cells = append(cells, reqs)
-		for _, lk := range []string{"wr", "wr-pool", "wr-notify"} {
+		for _, lk := range []string{"wr-fresh", "wr", "wr-notify"} {
 			m, err := Run(Point{Lock: lk, N: 8, Model: memory.CC, Requests: reqs, Seed: 1})
 			if err != nil {
 				cells = append(cells, "ERR")

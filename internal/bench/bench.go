@@ -106,7 +106,7 @@ func Run(pt Point) (Metrics, error) {
 		ReqMean:  req.Mean,
 		MaxDepth: 1,
 	}
-	if pt.RecordOps && spec.SlowLabels != nil {
+	if pt.RecordOps && spec.Levels != nil {
 		m.MaxDepth = check.MaxDepth(res, spec.SlowLabels(pt.N))
 	}
 	m.CheckErr = spec.Check(res)

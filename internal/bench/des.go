@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rme/internal/des"
+	"rme/internal/workload"
 )
 
 // The des experiment runs the virtual-time discrete-event simulator over
@@ -15,17 +16,6 @@ import (
 // in, CI regenerates and diffs it, and Check asserts its invariants
 // (monotone percentiles, delivered crashes and aborts, and the low-rate
 // anchor costing exactly the native failure-free median).
-
-// desLocks maps each native lock of the metrics experiment to the
-// simulator spec built from the same recipe (base lock, level schedule,
-// reclamation pools), so the anchor rows are directly comparable.
-var desLocks = []struct {
-	name string // native lock name, as in BENCH_metrics.json
-	sim  string // workload-registry spec of the same recipe
-}{
-	{name: "ba-log", sim: "ba-pool"},
-	{name: "ba-sublog", sim: "ba-sublog-pool"},
-}
 
 // desAbortDeadlineNs is the passage deadline of the abort regime in
 // virtual nanoseconds: shorter than the p50 waiting time at the collapse
@@ -43,9 +33,11 @@ func desTraffic(o ReportOpts, run func(des.Config) (*des.Result, error)) (*Repor
 	rep := &Report{Schema: schemaOf("des"), Seed: o.DESSeed, Requests: o.DESRequests}
 	rates := o.DESRates
 	mid, top := rates[len(rates)/2], rates[len(rates)-1]
-	for _, lk := range desLocks {
+	// The shipped locks, by the registry names the native reports give
+	// them, so the anchor rows are directly comparable.
+	for _, lk := range workload.Shipped() {
 		at := func(kind des.ArrivalKind, rate float64) des.Config {
-			return des.Config{Lock: lk.sim, N: o.Workers, Requests: o.DESRequests, Seed: o.DESSeed,
+			return des.Config{Lock: lk, N: o.Workers, Requests: o.DESRequests, Seed: o.DESSeed,
 				Arrival: des.Arrival{Kind: kind, Rate: rate}}
 		}
 		type point struct {
@@ -91,19 +83,18 @@ func desTraffic(o ReportOpts, run func(des.Config) (*des.Result, error)) (*Repor
 				err = fmt.Errorf("per-key CS overlap %d", res.MaxKeyCSOverlap)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("bench: des %s %s: %w", lk.name, pt.regime, err)
+				return nil, fmt.Errorf("bench: des %s %s: %w", lk, pt.regime, err)
 			}
-			rep.Results = append(rep.Results, desRow(pt.regime, lk.name, pt.cfg, res))
+			rep.Results = append(rep.Results, desRow(pt.regime, pt.cfg, res))
 		}
 	}
 	return rep, nil
 }
 
 // desRow condenses one simulation into its row.
-func desRow(regime, lock string, cfg des.Config, res *des.Result) Row {
+func desRow(regime string, cfg des.Config, res *des.Result) Row {
 	return Row{
-		Lock:            lock,
-		SimLock:         cfg.Lock,
+		Lock:            cfg.Lock,
 		Regime:          regime,
 		Workers:         cfg.N,
 		Failures:        cfg.Crashes.Budget,

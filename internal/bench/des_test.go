@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rme/internal/des"
+	"rme/internal/workload"
 )
 
 // TestDESTrafficStructure pins the trajectory through a stubbed runner:
@@ -34,13 +35,10 @@ func TestDESTrafficStructure(t *testing.T) {
 	for lock := 0; lock < 2; lock++ {
 		seq := calls[lock*perLock : (lock+1)*perLock]
 		rows := rep.Results[lock*perLock : (lock+1)*perLock]
-		want := desLocks[lock]
+		want := workload.Shipped()[lock]
 		for i, cfg := range seq {
-			if cfg.Lock != want.sim {
-				t.Fatalf("call %d used sim lock %q, want %q", i, cfg.Lock, want.sim)
-			}
-			if rows[i].Lock != want.name {
-				t.Fatalf("row %d named %q, want %q", i, rows[i].Lock, want.name)
+			if cfg.Lock != want || rows[i].Lock != want {
+				t.Fatalf("call %d ran %q into row %q, want %q", i, cfg.Lock, rows[i].Lock, want)
 			}
 		}
 		if seq[0].N != 1 || seq[0].Arrival.Rate != rates[0] || rows[0].Regime != "anchor" {

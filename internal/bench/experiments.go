@@ -147,7 +147,7 @@ func Table2(o Opts) *Table {
 func Figure1(seed int64) string {
 	var lck *core.WRLock
 	factory := func(sp memory.Space, n int) sim.Lock {
-		lck = core.NewWRLock(sp, n, "wr", nil)
+		lck = workload.Registry()["wr"].New(sp, n).(*core.WRLock)
 		return lck
 	}
 	plan := sim.PlanSeq{
@@ -233,10 +233,7 @@ func Figure3(o Opts) string {
 	o.fill()
 	var sb strings.Builder
 	sb.WriteString("== Figure 3 (reproduced): the recursive super-adaptive framework ==\n\n")
-	a := memory.NewArena(memory.CC, o.N)
-	b := core.NewBALock(a, o.N, core.DefaultLevels(o.N), func(sp memory.Space, n int) core.RecoverableLock {
-		return coreTournament(sp, n)
-	}, nil)
+	b := workload.Registry()["ba-log"].New(memory.NewArena(memory.CC, o.N), o.N).(*core.BALock)
 	sb.WriteString(b.Describe())
 	sb.WriteString("\nescalation trace: x(x-1)/2 unsafe failures aimed at levels 1..x-1 (Thm 5.17's ladder)\n")
 	for x := 1; x <= b.Levels()+1 && x <= 4; x++ {
@@ -270,15 +267,11 @@ func Figure3(o Opts) string {
 	return sb.String()
 }
 
-func coreTournament(sp memory.Space, n int) core.RecoverableLock {
-	spec, _ := workload.Lookup("tournament")
-	return spec.New(sp, n).(core.RecoverableLock)
-}
-
 // Ablation measures the price of each property the construction stacks on
-// top of plain MCS: bounded exit (mcs-dt), weak recoverability (wr),
-// strong recoverability + semi-adaptivity (sa), and full super-adaptivity
-// (ba-log) — all in the failure-free regime the paper's O(1) claims cover.
+// top of plain MCS: bounded exit (mcs-dt), weak recoverability (wr-fresh),
+// bounded space through §7.2's node pools (wr), strong recoverability +
+// semi-adaptivity (sa), and full super-adaptivity (ba-log) — all in the
+// failure-free regime the paper's O(1) claims cover.
 func Ablation(o Opts) *Table {
 	o.fill()
 	t := &Table{
@@ -291,7 +284,8 @@ func Ablation(o Opts) *Table {
 	rows := []struct{ lock, adds string }{
 		{"mcs", "(baseline queue lock)"},
 		{"mcs-dt", "bounded exit"},
-		{"wr", "weak recoverability"},
+		{"wr-fresh", "weak recoverability"},
+		{"wr", "bounded space (§7.2 node pool)"},
 		{"sa", "strong recoverability, semi-adaptive"},
 		{"ba-log", "super-adaptive (m levels)"},
 	}

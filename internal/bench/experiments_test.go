@@ -89,8 +89,8 @@ func TestBatchSmoke(t *testing.T) {
 func TestAblationSmoke(t *testing.T) {
 	tb := Ablation(tinyOpts())
 	assertClean(t, "ablation", tb.String())
-	if len(tb.Rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(tb.Rows))
+	if len(tb.Rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(tb.Rows))
 	}
 }
 

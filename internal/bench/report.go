@@ -100,7 +100,6 @@ type Report struct {
 // in declaration order, so every schema keeps its field set and order.
 type Row struct {
 	Lock            string   `json:"lock" bench:"metrics,abort,map,des"` // native lock ("ba-log", "ba-sublog")
-	SimLock         string   `json:"sim_lock" bench:"des"`               // simulator spec of the same recipe
 	Mode            string   `json:"mode" bench:"map,tracing"`           // map: hot | zipf | churn; tracing: none | off | on
 	Regime          string   `json:"regime" bench:"des"`                 // anchor | ramp | crash-uniform | crash-storm | zipf | abort | straggler
 	Workers         int      `json:"workers" bench:"metrics,abort,map,des,tracing"`

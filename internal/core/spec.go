@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"rme/internal/memory"
-)
+import "rme/internal/memory"
 
 // LockSpec is a reusable recipe for building a BA-Lock: the recursion
 // depth plus the base-lock and node-source factories, captured once and
@@ -22,8 +18,5 @@ type LockSpec struct {
 
 // Build constructs a BA-Lock for n processes from the spec inside sp.
 func (s LockSpec) Build(sp memory.Space, n int) *BALock {
-	if s.Levels < 1 {
-		panic(fmt.Sprintf("core: LockSpec levels = %d", s.Levels))
-	}
 	return NewBALock(sp, n, s.Levels, s.Base, s.Source)
 }

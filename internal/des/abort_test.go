@@ -14,7 +14,7 @@ import (
 // virtual time too, with aborts actually delivered.
 func TestAbortIdentity(t *testing.T) {
 	cfg := Config{
-		Lock:     "ba-pool",
+		Lock:     "ba-log",
 		N:        6,
 		Requests: 30,
 		Seed:     7,
@@ -57,7 +57,7 @@ func TestAbortIdentity(t *testing.T) {
 // attempts.
 func TestAbortWithCrashes(t *testing.T) {
 	cfg := Config{
-		Lock:     "ba-pool",
+		Lock:     "ba-log",
 		N:        5,
 		Requests: 25,
 		Seed:     11,
@@ -88,7 +88,7 @@ func TestAbortWithCrashes(t *testing.T) {
 // pin, so mutual exclusion per key survives abort traffic.
 func TestAbortKeyed(t *testing.T) {
 	cfg := Config{
-		Lock:     "ba-pool",
+		Lock:     "ba-log",
 		N:        6,
 		Requests: 20,
 		Seed:     3,
@@ -113,7 +113,7 @@ func TestAbortKeyed(t *testing.T) {
 // over a keyspace whose recipe cannot back out is refused rather than
 // silently corrupting queue state.
 func TestAbortValidation(t *testing.T) {
-	_, err := Run(Config{Lock: "ba-pool", N: 2, Requests: 1,
+	_, err := Run(Config{Lock: "ba-log", N: 2, Requests: 1,
 		Aborts: Aborts{DeadlineNs: -1}})
 	if err == nil || !strings.Contains(err.Error(), "abort deadline") {
 		t.Fatalf("negative deadline accepted: %v", err)

@@ -44,7 +44,8 @@ import (
 
 // Config parameterizes one virtual-time run.
 type Config struct {
-	// Lock is the workload-registry name of the lock under test.
+	// Lock is the workload-registry name of the lock under test (default
+	// "ba-log", the lock rme.New ships).
 	Lock string
 	// N is the number of processes.
 	N int
@@ -88,7 +89,7 @@ type Config struct {
 
 func (c *Config) fill() error {
 	if c.Lock == "" {
-		c.Lock = "ba-pool"
+		c.Lock = workload.Shipped()[0]
 	}
 	if c.N < 1 {
 		return fmt.Errorf("des: N = %d, want ≥ 1", c.N)

@@ -22,7 +22,7 @@ func mustRun(t *testing.T, cfg Config) *Result {
 // timestamps — run after run. CI runs this under -race as well.
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
-		Lock:     "ba-pool",
+		Lock:     "ba-log",
 		N:        6,
 		Requests: 40,
 		Seed:     42,

@@ -54,10 +54,6 @@ const (
 	zipfS    = 1.1
 )
 
-// soakSpecs are the lock recipes the continuous soak regime cycles
-// through: the two pool-backed BA recipes the benchmarks track.
-var soakSpecs = []string{"ba-pool", "ba-sublog-pool"}
-
 // Names lists the available regimes, in display order.
 func Names() []string {
 	return []string{"hot", "zipf", "churn", "abort", "crash", "soak"}
@@ -131,12 +127,8 @@ func New(name string, workers int, outDir string) (*Runner, error) {
 		r.mp, err = rme.NewMap(workers, opts...)
 	case "soak":
 		var specs []workload.Spec
-		for _, n := range soakSpecs {
-			spec, lerr := workload.Lookup(n)
-			if lerr != nil {
-				return nil, lerr
-			}
-			specs = append(specs, spec)
+		for _, n := range workload.Shipped() {
+			specs = append(specs, workload.Registry()[n])
 		}
 		r.soak = &Campaign{Seeds: 2, N: min(workers, 5), Requests: 2,
 			OutDir: outDir, Specs: specs, Stdout: discard{}}

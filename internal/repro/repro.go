@@ -27,12 +27,14 @@ import (
 )
 
 // Format and Version identify the artifact encoding. Version bumps when
-// the JSON schema or replay semantics change; Decode rejects artifacts from
-// a newer version. Version 2 added the abort placements dimension (the
-// Aborts field); version-1 artifacts decode as abort-free runs.
+// the JSON schema or replay semantics change; Decode rejects artifacts of
+// any other version. Version 2 added the abort placements (the Aborts
+// field). In version 3 "ba-log", "ba-sublog", "sa", "sa-bakery" and "wr"
+// name the pooled recipes the library ships, so an older artifact would
+// replay a different lock and read as fixed.
 const (
 	Format  = "rme-repro"
-	Version = 2
+	Version = 3
 )
 
 // Strength values stored in artifacts, selecting the internal/check
@@ -247,8 +249,8 @@ func (a *Artifact) Validate() error {
 	if a.Format != Format {
 		return fmt.Errorf("repro: not a repro artifact (format %q)", a.Format)
 	}
-	if a.Version < 1 || a.Version > Version {
-		return fmt.Errorf("repro: unsupported artifact version %d (this build reads ≤ %d)", a.Version, Version)
+	if a.Version != Version {
+		return fmt.Errorf("repro: unsupported artifact version %d (this build reads only %d; since 3 the registry names denote the shipped pooled recipes)", a.Version, Version)
 	}
 	if a.N < 1 {
 		return fmt.Errorf("repro: invalid process count %d", a.N)

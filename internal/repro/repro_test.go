@@ -164,6 +164,10 @@ func TestDecodeRejectsBadArtifacts(t *testing.T) {
 	}{
 		{"format", func(a *Artifact) { a.Format = "tarball" }, "not a repro artifact"},
 		{"version", func(a *Artifact) { a.Version = Version + 1 }, "unsupported artifact version"},
+		// Before version 3 the registry names denoted pool-free recipes, so
+		// such an artifact would replay a different lock.
+		{"version-1", func(a *Artifact) { a.Version = 1 }, "registry names denote the shipped pooled recipes"},
+		{"version-2", func(a *Artifact) { a.Version = 2 }, "registry names denote the shipped pooled recipes"},
 		{"n", func(a *Artifact) { a.N = 0 }, "invalid process count"},
 		{"strength", func(a *Artifact) { a.Strength = "medium" }, "unknown strength"},
 		{"model", func(a *Artifact) { a.Model = "TSO" }, "unknown memory model"},

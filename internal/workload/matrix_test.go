@@ -63,7 +63,7 @@ func TestUnsafeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("unsafe matrix is expensive; skipped with -short")
 	}
-	for _, name := range []string{"sa", "ba-log", "ba-sublog", "ba-pool"} {
+	for _, name := range []string{"sa", "ba-log", "ba-sublog"} {
 		spec, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -92,8 +92,8 @@ func TestUnsafeMatrix(t *testing.T) {
 // cost rather than being a single universal constant.
 func TestSegmentBoundsMatrix(t *testing.T) {
 	bounds := map[string][2]int64{ // {maxRecover, maxExit}
-		"wr":         {12, 12},
-		"wr-pool":    {24, 24},
+		"wr-fresh":   {12, 12},
+		"wr":         {24, 24},
 		"wr-notify":  {40, 40}, // the retire scan is O(n) instructions
 		"bakery":     {8, 8},
 		"tournament": {4, 60},
@@ -102,7 +102,6 @@ func TestSegmentBoundsMatrix(t *testing.T) {
 		"sa":         {4, 160},
 		"ba-log":     {4, 400},
 		"ba-sublog":  {4, 400},
-		"ba-pool":    {4, 400},
 	}
 	for name, b := range bounds {
 		spec, err := Lookup(name)

@@ -15,6 +15,7 @@ import (
 	"rme/internal/grlock"
 	"rme/internal/mcs"
 	"rme/internal/memory"
+	"rme/internal/recipe"
 	"rme/internal/reclaim"
 	"rme/internal/repro"
 	"rme/internal/sim"
@@ -45,12 +46,19 @@ type Spec struct {
 	Strength Strength
 	// New constructs the lock.
 	New sim.Factory
-	// SlowLabels returns the escalation labels for depth measurements
-	// (nil for non-recursive locks).
-	SlowLabels func(n int) []string
-	// Levels returns the recursion depth for n processes (0 for
+	// Levels returns the recursion depth for n processes (nil for
 	// non-recursive locks).
 	Levels func(n int) int
+}
+
+// SlowLabels returns the slow-path commitment labels "F1:slow".."Fm:slow"
+// of a recursive lock's m levels, for depth measurements.
+func (s Spec) SlowLabels(n int) []string {
+	out := make([]string, s.Levels(n))
+	for i := range out {
+		out[i] = fmt.Sprintf("F%d:slow", i+1)
+	}
+	return out
 }
 
 // bcsrMaxOps bounds, in instructions, the re-entry passage of the BCSR
@@ -82,28 +90,21 @@ func (s Spec) RunSpec(cfg sim.Config, note string) repro.RunSpec {
 	return repro.RunSpec{Lock: s.Name, Strength: strength, BCSRMaxOps: bcsrMaxOps, Config: cfg, Note: note}
 }
 
-func tournamentBase(sp memory.Space, n int) core.RecoverableLock {
-	return grlock.NewTournament(sp, n)
-}
-
-func arbtreeBase(sp memory.Space, n int) core.RecoverableLock {
-	return arbtree.New(sp, n, 0)
-}
-
-func poolSource(sp memory.Space, n, level int) core.NodeSource {
-	return reclaim.NewPool(sp, n)
-}
-
-func slowLabels(levels func(int) int) func(int) []string {
-	return func(n int) []string {
-		m := levels(n)
-		out := make([]string, m)
-		for i := range out {
-			out[i] = fmt.Sprintf("F%d:slow", i+1)
+// shipped is the registry factory of the lock rme.New ships over base:
+// the same recipe, built into the simulator's arena.
+func shipped(base recipe.Base) sim.Factory {
+	return func(sp memory.Space, n int) sim.Lock {
+		spec, err := recipe.Spec(base, n)
+		if err != nil {
+			panic(err)
 		}
-		return out
+		return spec.Build(sp, n)
 	}
 }
+
+// Shipped names the registry entries that are the locks rme.New ships,
+// one per base. The DES, the soak regime and rmesweep -des run these.
+func Shipped() []string { return []string{"ba-log", "ba-sublog"} }
 
 // Registry returns the lock catalog.
 func Registry() map[string]Spec {
@@ -126,18 +127,18 @@ func Registry() map[string]Spec {
 		},
 		"wr": {
 			Name:     "wr",
-			Paper:    "WR-Lock (Section 4, Algorithm 2): weakly recoverable MCS, O(1) everywhere",
+			Paper:    "WR-Lock (Section 4, Algorithm 2) with §7.2 reclamation: weakly recoverable MCS, O(1) everywhere, bounded space",
+			Strength: Weak,
+			New: func(sp memory.Space, n int) sim.Lock {
+				return core.NewWRLock(sp, n, "wr", recipe.Nodes(sp, n, 1))
+			},
+		},
+		"wr-fresh": {
+			Name:     "wr-fresh",
+			Paper:    "WR-Lock allocating a fresh queue node per request (unbounded space; §7.2's footprint row)",
 			Strength: Weak,
 			New: func(sp memory.Space, n int) sim.Lock {
 				return core.NewWRLock(sp, n, "wr", nil)
-			},
-		},
-		"wr-pool": {
-			Name:     "wr-pool",
-			Paper:    "WR-Lock with Section 7.2 memory reclamation (bounded space)",
-			Strength: Weak,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewWRLock(sp, n, "wr", reclaim.NewPool(sp, n))
 			},
 		},
 		"bakery": {
@@ -153,10 +154,9 @@ func Registry() map[string]Spec {
 			Paper:    "SA-Lock over the bakery core: the shape of Golab–Ramaraju §4.2 in Table 1 — O(1)/O(n)/O(n)",
 			Strength: Strong,
 			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewSALock(sp, n, "F1", bakery.New(sp, n), nil)
+				return core.NewSALock(sp, n, "F1", bakery.New(sp, n), recipe.Nodes(sp, n, 1))
 			},
-			SlowLabels: slowLabels(func(int) int { return 1 }),
-			Levels:     func(int) int { return 1 },
+			Levels: func(int) int { return 1 },
 		},
 		"wr-notify": {
 			Name:     "wr-notify",
@@ -187,50 +187,23 @@ func Registry() map[string]Spec {
 			Paper:    "SA-Lock (Section 5.1, Algorithm 3) over the tournament core: semi-adaptive",
 			Strength: Strong,
 			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewSALock(sp, n, "F1", grlock.NewTournament(sp, n), nil)
+				return core.NewSALock(sp, n, "F1", grlock.NewTournament(sp, n), recipe.Nodes(sp, n, 1))
 			},
-			SlowLabels: slowLabels(func(int) int { return 1 }),
-			Levels:     func(int) int { return 1 },
+			Levels: func(int) int { return 1 },
 		},
 		"ba-log": {
 			Name:     "ba-log",
-			Paper:    "BA-Lock (Section 5.2) over the tournament base: super-adaptive, O(min{√F, log n})",
+			Paper:    "BA-Lock (Section 5.2) over the tournament base, as rme.New ships it: super-adaptive, O(min{√F, log n})",
 			Strength: Strong,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewBALock(sp, n, core.DefaultLevels(n), tournamentBase, nil)
-			},
-			SlowLabels: slowLabels(core.DefaultLevels),
-			Levels:     core.DefaultLevels,
+			New:      shipped(recipe.Tournament),
+			Levels:   recipe.Tournament.Levels,
 		},
 		"ba-sublog": {
 			Name:     "ba-sublog",
-			Paper:    "BA-Lock over the arbitration-tree base: well-bounded super-adaptive, O(min{√F, log n/log log n})",
+			Paper:    "BA-Lock over the arbitration-tree base, as rme.New(WithBase(BaseArbTree)) ships it: well-bounded super-adaptive, O(min{√F, log n/log log n})",
 			Strength: Strong,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewBALock(sp, n, core.SubLogLevels(n), arbtreeBase, nil)
-			},
-			SlowLabels: slowLabels(core.SubLogLevels),
-			Levels:     core.SubLogLevels,
-		},
-		"ba-pool": {
-			Name:     "ba-pool",
-			Paper:    "BA-Lock over the tournament base with reclamation pools at every level (bounded space)",
-			Strength: Strong,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewBALock(sp, n, core.DefaultLevels(n), tournamentBase, poolSource)
-			},
-			SlowLabels: slowLabels(core.DefaultLevels),
-			Levels:     core.DefaultLevels,
-		},
-		"ba-sublog-pool": {
-			Name:     "ba-sublog-pool",
-			Paper:    "BA-Lock over the arbitration-tree base with reclamation pools at every level — the exact recipe of the native rme.New(WithBase(BaseArbTree)) lock",
-			Strength: Strong,
-			New: func(sp memory.Space, n int) sim.Lock {
-				return core.NewBALock(sp, n, core.SubLogLevels(n), arbtreeBase, poolSource)
-			},
-			SlowLabels: slowLabels(core.SubLogLevels),
-			Levels:     core.SubLogLevels,
+			New:      shipped(recipe.ArbTree),
+			Levels:   recipe.ArbTree.Levels,
 		},
 	}
 }

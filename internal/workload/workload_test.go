@@ -9,8 +9,17 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	for _, name := range []string{"mcs", "mcs-dt", "wr", "wr-pool", "wr-notify", "bakery",
-		"tournament", "arbtree", "sa", "sa-bakery", "ba-log", "ba-sublog", "ba-pool"} {
+	want := []string{"mcs", "mcs-dt", "wr", "wr-fresh", "wr-notify", "bakery",
+		"tournament", "arbtree", "sa", "sa-bakery", "ba-log", "ba-sublog"}
+	if len(reg) != len(want) {
+		t.Fatalf("registry has %v, want exactly %v", Names(), want)
+	}
+	for _, name := range Shipped() {
+		if reg[name].Strength != Strong {
+			t.Fatalf("shipped lock %q is no strong registry entry", name)
+		}
+	}
+	for _, name := range want {
 		s, ok := reg[name]
 		if !ok {
 			t.Fatalf("missing %q", name)

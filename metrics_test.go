@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"rme"
+	"rme/internal/memory"
+	"rme/internal/sim"
+	"rme/internal/workload"
 )
 
 // TestMetricsDisabledNoop pins the WithMetrics-off contract: no snapshot
@@ -20,6 +23,60 @@ func TestMetricsDisabledNoop(t *testing.T) {
 	m.Unlock(0)
 	if _, ok := m.MetricsSnapshot(); ok {
 		t.Fatal("MetricsSnapshot reported metrics without WithMetrics")
+	}
+}
+
+// TestRegistryMatchesNew ties the simulator's "ba-log" and "ba-sublog" to
+// the locks rme.New ships, and the simulator's CC accounting to the
+// native one: pid 0's failure-free passages, run alone (lowest pid
+// first), cost the same RMRs passage for passage. The simulator's first
+// passage costs exactly one more, its cold read of the critical
+// section's scratch word; the native critical section is empty.
+func TestRegistryMatchesNew(t *testing.T) {
+	const passages = 200
+	for _, c := range []struct {
+		lock string
+		base rme.Base
+	}{{"ba-log", rme.BaseTournament}, {"ba-sublog", rme.BaseArbTree}} {
+		spec, err := workload.Lookup(c.lock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 4, 8} {
+			r, err := sim.New(sim.Config{N: n, Model: memory.CC, Requests: passages, Seed: 1,
+				Sched: sim.PrioritySched{Less: func(a, b int) bool { return a < b }}}, spec.New)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int64
+			for _, p := range res.Passages {
+				if p.PID == 0 {
+					want = append(want, p.RMRs)
+				}
+			}
+			if len(want) != passages {
+				t.Fatalf("%s n=%d: simulator ran %d passages of pid 0, want %d", c.lock, n, len(want), passages)
+			}
+			want[0]--
+			m, err := rme.New(n, rme.WithBase(c.base), rme.WithMetrics())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total uint64
+			for i, w := range want {
+				m.Passage(0, func() {})
+				s, _ := m.MetricsSnapshot()
+				if got := int64(s.RMRs - total); got != w {
+					t.Errorf("%s n=%d passage %d: rme.New costs %d RMRs, the simulator %d (less its cold CS read)", c.lock, n, i, got, w)
+					break
+				}
+				total = s.RMRs
+			}
+		}
 	}
 }
 

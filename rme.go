@@ -26,13 +26,11 @@ import (
 	"fmt"
 	"time"
 
-	"rme/internal/arbtree"
 	"rme/internal/core"
 	"rme/internal/flight"
-	"rme/internal/grlock"
 	"rme/internal/memory"
 	"rme/internal/metrics"
-	"rme/internal/reclaim"
+	"rme/internal/recipe"
 )
 
 // Base selects the non-adaptive strongly recoverable lock placed at the
@@ -43,10 +41,10 @@ type Base int
 const (
 	// BaseTournament is the binary tournament of recoverable 2-process
 	// locks: T(n) = O(log n) under both CC and DSM.
-	BaseTournament Base = iota + 1
+	BaseTournament = Base(recipe.Tournament)
 	// BaseArbTree is the Δ-ary arbitration tree:
 	// T(n) = O(log n / log log n) under CC.
-	BaseArbTree
+	BaseArbTree = Base(recipe.ArbTree)
 )
 
 type config struct {
@@ -65,22 +63,9 @@ type config struct {
 // m = T(n) SA-Lock levels over the base with §7.2's node pools, and keeps
 // m in cfg.levels. New, NewMap and Restore each build one lock from it.
 func (cfg *config) lockSpec(n int) (core.LockSpec, error) {
-	spec := core.LockSpec{Source: func(sp memory.Space, n, level int) core.NodeSource {
-		return reclaim.NewPool(sp, n)
-	}}
-	switch cfg.base {
-	case BaseTournament:
-		spec.Levels = core.DefaultLevels(n)
-		spec.Base = func(sp memory.Space, n int) core.RecoverableLock {
-			return grlock.NewTournament(sp, n)
-		}
-	case BaseArbTree:
-		spec.Levels = core.SubLogLevels(n)
-		spec.Base = func(sp memory.Space, n int) core.RecoverableLock {
-			return arbtree.New(sp, n, 0)
-		}
-	default:
-		return core.LockSpec{}, fmt.Errorf("rme: unknown base lock %d", cfg.base)
+	spec, err := recipe.Spec(recipe.Base(cfg.base), n)
+	if err != nil {
+		return core.LockSpec{}, fmt.Errorf("rme: %w", err)
 	}
 	cfg.levels = spec.Levels
 	return spec, nil
