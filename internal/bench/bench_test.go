@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -111,6 +113,23 @@ func TestFigure1Output(t *testing.T) {
 	for _, want := range []string{"Figure 1", "sub-queue", "head →", "starvation freedom"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Figure1 output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFigure1CountsFailuresAtFAS: a crash after the FAS can split the
+// queue into at most one more sub-queue (Theorem 4.2), so every line
+// Figure 1 prints must show no more sub-queues than failures + 1. A
+// failure whose FAS has run but whose crash is not yet delivered counts.
+func TestFigure1CountsFailuresAtFAS(t *testing.T) {
+	line := regexp.MustCompile(`\((\d+) unsafe failures so far\): (\d+) sub-queue`)
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, m := range line.FindAllStringSubmatch(Figure1(seed), -1) {
+			failures, _ := strconv.Atoi(m[1])
+			queues, _ := strconv.Atoi(m[2])
+			if queues > failures+1 {
+				t.Errorf("seed %d: %q: %d sub-queues after %d failures", seed, m[0], queues, failures)
+			}
 		}
 	}
 }

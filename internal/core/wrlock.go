@@ -238,13 +238,13 @@ func (l *WRLock) Abort(p memory.Port) {
 // ending in an ordinary retire. The abandoned predecessor may still owe
 // the node a handoff write (locked ← false), but that stale reference is
 // precisely the situation the paper's reclamation algorithm (Section 7.2,
-// Algorithm 4) is built for: a slot is reused only after a full epoch
-// scan that started after the retire, and that scan waits for every
-// request in flight at its start — including the predecessor's hold,
-// whose Exit lands the handoff before its own retire. Retiring eagerly
-// also keeps the pool live: a deferred retire would leave this process's
-// in-counter ahead of its out-counter, and if it never returned, every
-// other process's epoch scan would eventually wait on it forever.
+// Algorithm 4) is built for: a slot is reused only after epoch steps that
+// ran after the retire have recorded every request then in flight and
+// waited for each to retire — including the predecessor's hold, whose
+// Exit lands the handoff before its own retire. Retiring eagerly also
+// keeps the pool live: a deferred retire would leave this process's node
+// out, and if it never returned, every other process's epoch would
+// eventually wait on it forever.
 func (l *WRLock) finishAbandon(p memory.Port) {
 	i := p.PID()
 	node := memory.AsAddr(p.Read(l.mine[i]))

@@ -3,17 +3,17 @@ package reclaim
 import "rme/internal/memory"
 
 // The polling Pool is the paper's Algorithm 4 as written "for the CC
-// model": the epoch's wait loop re-reads another process's out-counter,
+// model": the epoch's wait loop re-reads another process's sequence word,
 // which is cached under CC but costs one RMR per poll under DSM. The
 // paper notes that "a similar memory reclamation algorithm can be
 // implemented for the DSM model using a notification based system"; this
 // file is that system.
 //
-// A waiter that must wait for process j's out-counter to reach a
-// threshold T registers the threshold in j's memory module (want[j][i] =
-// T) and then spins on a word in its own module (ack[i][j]). Every Retire
-// by j — unconditionally, so a crashed retire re-runs the scan — reads
-// j's own want row (local under DSM) and acknowledges each satisfied
+// A waiter that must wait for process k's sequence word to reach a
+// threshold T registers the threshold in k's memory module (want[k][i] =
+// T) and then spins on a word in its own module (ack[i][k]). Every Retire
+// by k — unconditionally, so a crashed retire re-runs the scan — reads
+// k's own want row (local under DSM) and acknowledges each satisfied
 // registration with a single remote write. The waiter therefore performs
 // O(1) RMRs per wait (register, one re-check to close the race with a
 // retire that has already happened, local spin) instead of one per poll.
@@ -22,15 +22,15 @@ import "rme/internal/memory"
 // acknowledgements are idempotent, stale acknowledgements are absorbed by
 // re-checking the condition after every wake-up, and the unconditional
 // scan in Retire guarantees a notification even if a previous retire
-// crashed between advancing out and scanning.
+// crashed between bumping its sequence word and scanning.
 
 // NotifyPool is the reclamation pool with DSM-friendly notification-based
-// waiting. Allocation, retirement and epoch structure are identical to
+// waiting. Allocation, retirement and the epoch step are identical to
 // Pool; only the wait discipline differs.
 type NotifyPool struct {
 	Pool
-	want [][]memory.Addr // want[j][i]: threshold i waits on j for (home j)
-	ack  [][]memory.Addr // ack[i][j]: j's acknowledgement to i (home i)
+	want [][]memory.Addr // want[k][i]: seq value i waits for k to reach (home k)
+	ack  [][]memory.Addr // ack[i][k]: k's acknowledgement to i (home i)
 }
 
 // NewNotifyPool allocates notification-based reclamation state for n
@@ -55,101 +55,46 @@ func NewNotifyPool(sp memory.Space, n int) *NotifyPool {
 }
 
 // NewNode implements core.NodeSource; see Pool.NewNode.
-func (r *NotifyPool) NewNode(p memory.Port) memory.Addr {
-	i := p.PID()
-	if p.Read(r.in[i]) == p.Read(r.out[i]) {
-		r.epochNotify(p)
-		p.Write(r.in[i], p.Read(r.in[i])+1)
-	}
-	slot := int(p.Read(r.out[i])) % (2 * r.n)
-	half := int(p.Read(r.poolIdx[i])) & 1
-	return r.nodes[i][half][slot]
-}
+func (r *NotifyPool) NewNode(p memory.Port) memory.Addr { return r.newNode(p, r) }
 
 // Retire implements core.NodeSource. Unlike the polling pool it always
 // scans this process's registration row, so a retire interrupted between
-// the counter bump and the scan still notifies after recovery.
+// the sequence bump and the scan still notifies after recovery.
 func (r *NotifyPool) Retire(p memory.Port) {
-	i := p.PID()
-	if p.Read(r.in[i]) != p.Read(r.out[i]) {
-		p.Write(r.out[i], p.Read(r.out[i])+1)
-	}
-	out := p.Read(r.out[i])
+	s, i := r.retire(p), p.PID()
 	for w := 0; w < r.n; w++ {
 		if w == i {
 			continue
 		}
 		t := p.Read(r.want[i][w]) // local read under DSM
-		if t != 0 && t <= out {
+		if t != 0 && t <= s {
 			p.Write(r.want[i][w], 0)
 			p.Write(r.ack[w][i], 1) // one remote write per ready waiter
 		}
 	}
 }
 
-// epochNotify is Pool.epoch with the wait loop replaced by registration
-// and a local spin.
-func (r *NotifyPool) epochNotify(p memory.Port) {
+// await blocks until seq[k] has passed the recorded odd value t (0: no
+// wait), spinning only on a word in the waiter's own module, and returns
+// the last value of seq[k] it read.
+func (r *NotifyPool) await(p memory.Port, k int, t memory.Word) memory.Word {
 	i := p.PID()
-	if p.Read(r.sw[i]) == swCompleted {
-		if p.Read(r.mode[i]) == modeScan {
-			idx := int(p.Read(r.index[i]))
-			p.Write(r.snapshot[i][idx], p.Read(r.in[idx]))
-			if idx < r.n-1 {
-				p.Write(r.index[i], memory.Word(idx+1))
-			} else {
-				p.Write(r.mode[i], modeWait)
-			}
-		}
-		if p.Read(r.mode[i]) == modeWait {
-			idx := int(p.Read(r.index[i]))
-			r.await(p, idx)
-			if idx > 0 {
-				p.Write(r.index[i], memory.Word(idx-1))
-			} else {
-				p.Write(r.sw[i], swStarted)
-			}
-		}
-	}
-	if p.Read(r.sw[i]) == swStarted {
-		if p.Read(r.poolIdx[i]) == p.Read(r.confirm[i]) {
-			p.Write(r.poolIdx[i], 1-p.Read(r.poolIdx[i]))
-		}
-		p.Write(r.sw[i], swInProgress)
-	}
-	if p.Read(r.sw[i]) == swInProgress {
-		if p.Read(r.poolIdx[i]) != p.Read(r.confirm[i]) {
-			p.Write(r.confirm[i], p.Read(r.poolIdx[i]))
-		}
-		p.Write(r.mode[i], modeScan)
-		p.Write(r.sw[i], swCompleted)
-	}
-}
-
-// await blocks until out[idx] has caught up with the snapshot, spinning
-// only on a word in the waiter's own module.
-func (r *NotifyPool) await(p memory.Port, idx int) {
-	i := p.PID()
-	t := p.Read(r.snapshot[i][idx])
-	if idx == i || t == 0 {
-		return
-	}
 	// rme:rmw-loop(the want registration re-runs only after a stale ack from an earlier registration, at most once per outstanding retire, so the Write retry is bounded)
 	for {
-		if p.Read(r.out[idx]) >= t {
-			return
+		if v := p.Read(r.seq[k]); t == 0 || v > t {
+			return v
 		}
-		p.Write(r.want[idx][i], t)
+		p.Write(r.want[k][i], t+1)
 		// Close the race with a retire that ran before the
 		// registration became visible to it.
-		if p.Read(r.out[idx]) >= t {
-			p.Write(r.want[idx][i], 0)
-			return
+		if v := p.Read(r.seq[k]); v > t {
+			p.Write(r.want[k][i], 0)
+			return v
 		}
-		for p.Read(r.ack[i][idx]) == 0 {
+		for p.Read(r.ack[i][k]) == 0 {
 			p.Pause()
 		}
-		p.Write(r.ack[i][idx], 0)
+		p.Write(r.ack[i][k], 0)
 		// A stale acknowledgement from an earlier registration may have
 		// woken us; loop to re-check the condition.
 	}

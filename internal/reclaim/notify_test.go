@@ -20,8 +20,8 @@ func TestNotifyPoolBasics(t *testing.T) {
 	}
 	r.Retire(p)
 	r.Retire(p) // idempotent
-	if got := a.Peek(r.out[0]); got != 1 {
-		t.Fatalf("out = %d", got)
+	if got := a.Peek(r.seq[0]); got != 2 {
+		t.Fatalf("seq = %d", got)
 	}
 	if n3 := r.NewNode(p); n3 == n1 {
 		t.Fatal("retired node handed out again immediately")

@@ -2,24 +2,25 @@
 //
 // Package reclaim implements the paper's memory-reclamation algorithm
 // (Section 7.2, Algorithm 4) for the queue nodes of the weakly recoverable
-// lock.
+// lock, as a ring.
 //
 // A failure can leave other processes holding references to a node long
 // after its owner finished with it, so nodes cannot be reused immediately.
-// Each process therefore owns two pools (active and reserve) of 2n nodes.
-// Allocation walks the active pool; every allocation also advances an
-// incremental epoch: the process snapshots the in-counter of one other
-// process per allocation, then waits, one process per allocation, for the
-// matching out-counter to catch up — proof that every request that was
-// in flight when the scan started has finished and dropped its references.
-// After a full scan the pools swap. A slot is thus reused only after 4n
-// allocations and a completed scan, by which time no process can still
-// reference it.
+// Each process therefore owns a ring of 2n nodes and one sequence word,
+// odd while a node is out. Allocation a hands out slot a mod 2n and first
+// runs one epoch step on peer k = a mod n: it waits until the request of
+// k it recorded n allocations ago has retired, then records k's request
+// now in flight. A node retired after allocation a comes back at
+// allocation a+2n. Allocations a+1 … a+n look at every peer after the
+// retire, and allocations a+n+1 … a+2n wait for each request they saw —
+// so every request that could still reference the node has finished
+// before the node is handed out again.
 //
 // All bookkeeping lives in shared memory; NewNode is idempotent (repeated
 // calls return the same node until Retire), which tolerates a crash
 // between obtaining a node and persisting the reference — the property
-// Algorithm 2 relies on.
+// Algorithm 2 relies on. A crash inside the epoch step re-runs it, which
+// at worst waits for a later request of the same peer.
 package reclaim
 
 import (
@@ -29,79 +30,49 @@ import (
 	"rme/internal/memory"
 )
 
-// Switch states (Algorithm 4). Completed is the zero value, matching the
-// paper's initialization.
-const (
-	swCompleted memory.Word = iota
-	swStarted
-	swInProgress
-)
-
-// Scan modes. Scan is the zero value, matching the paper's initialization.
-const (
-	modeScan memory.Word = iota
-	modeWait
-)
-
 const nodeWords = 2 // matches core's queue node layout
 
-// Pool is one lock instance's reclamation state: for every process, two
-// pools of 2n nodes plus the epoch bookkeeping of Algorithm 4.
+// Pool is one lock instance's reclamation state: for every process, a
+// ring of 2n nodes, its sequence word and its n epoch records.
 type Pool struct {
 	n int
 
-	// nodes[i][h][s] is the address of slot s of half h of process i's
-	// pool.
-	nodes [][2][]memory.Addr
+	// nodes[i][s] is the address of slot s of process i's ring.
+	nodes [][]memory.Addr
 
-	in       []memory.Addr // nodes logically allocated by process i
-	out      []memory.Addr // nodes logically retired by process i
-	sw       []memory.Addr // switch state
-	mode     []memory.Addr // scan / wait
-	index    []memory.Addr // scan cursor over processes
-	poolIdx  []memory.Addr // active half
-	confirm  []memory.Addr // confirmed half (for idempotent flips)
+	// seq[i] counts process i's allocations and retires: 2a while
+	// allocation a is next, 2a+1 while its node is out.
+	seq []memory.Addr
+
+	// snapshot[i][k] is the odd seq[k] process i last recorded for peer
+	// k, or 0 if k had no node out.
 	snapshot [][]memory.Addr
 }
 
 var _ core.NodeSource = (*Pool)(nil)
 
 // NewPool allocates reclamation state for n processes in sp. It reserves
-// 2 pools × 2n nodes × 2 words per process — the O(n²) words per lock
-// instance that yield the paper's overall O(n²·T(n)) space bound.
+// 2n nodes × 2 words plus 1 + n words per process — the O(n²) words per
+// lock instance that yield the paper's overall O(n²·T(n)) space bound.
 func NewPool(sp memory.Space, n int) *Pool {
 	if n < 1 {
 		panic(fmt.Sprintf("reclaim: NewPool n = %d", n))
 	}
 	r := &Pool{
 		n:        n,
-		nodes:    make([][2][]memory.Addr, n),
-		in:       make([]memory.Addr, n),
-		out:      make([]memory.Addr, n),
-		sw:       make([]memory.Addr, n),
-		mode:     make([]memory.Addr, n),
-		index:    make([]memory.Addr, n),
-		poolIdx:  make([]memory.Addr, n),
-		confirm:  make([]memory.Addr, n),
+		nodes:    make([][]memory.Addr, n),
+		seq:      make([]memory.Addr, n),
 		snapshot: make([][]memory.Addr, n),
 	}
 	for i := 0; i < n; i++ {
-		for h := 0; h < 2; h++ {
-			r.nodes[i][h] = make([]memory.Addr, 2*n)
-			for s := 0; s < 2*n; s++ {
-				r.nodes[i][h][s] = sp.Alloc(nodeWords, i)
-			}
+		r.nodes[i] = make([]memory.Addr, 2*n)
+		for s := range r.nodes[i] {
+			r.nodes[i][s] = sp.Alloc(nodeWords, i)
 		}
-		r.in[i] = sp.Alloc(1, i)
-		r.out[i] = sp.Alloc(1, i)
-		r.sw[i] = sp.Alloc(1, i)
-		r.mode[i] = sp.Alloc(1, i)
-		r.index[i] = sp.Alloc(1, i)
-		r.poolIdx[i] = sp.Alloc(1, i)
-		r.confirm[i] = sp.Alloc(1, i)
+		r.seq[i] = sp.Alloc(1, i)
 		r.snapshot[i] = make([]memory.Addr, n)
-		for j := 0; j < n; j++ {
-			r.snapshot[i][j] = sp.Alloc(1, i)
+		for k := 0; k < n; k++ {
+			r.snapshot[i][k] = sp.Alloc(1, i)
 		}
 	}
 	return r
@@ -109,79 +80,72 @@ func NewPool(sp memory.Space, n int) *Pool {
 
 // NewNode implements core.NodeSource ("new node()" of Algorithm 4).
 // Repeated calls return the same node until Retire is called.
-func (r *Pool) NewNode(p memory.Port) memory.Addr {
+func (r *Pool) NewNode(p memory.Port) memory.Addr { return r.newNode(p, nil) }
+
+// newNode runs the epoch step and hands out the next slot; a non-nil nt
+// waits by notification instead of polling.
+func (r *Pool) newNode(p memory.Port, nt *NotifyPool) memory.Addr {
 	i := p.PID()
-	if p.Read(r.in[i]) == p.Read(r.out[i]) {
-		r.epoch(p)
-		p.Write(r.in[i], p.Read(r.in[i])+1)
+	s := p.Read(r.seq[i])
+	if s&1 == 0 {
+		if k := int(s/2) % r.n; k != i {
+			r.epoch(p, k, nt)
+		}
+		s++
+		p.Write(r.seq[i], s)
 	}
-	slot := int(p.Read(r.out[i])) % (2 * r.n)
-	half := int(p.Read(r.poolIdx[i])) & 1
-	return r.nodes[i][half][slot]
+	return r.nodes[i][int(s/2)%(2*r.n)]
 }
 
 // Retire implements core.NodeSource ("retire node()" of Algorithm 4).
-func (r *Pool) Retire(p memory.Port) {
+func (r *Pool) Retire(p memory.Port) { r.retire(p) }
+
+// retire bumps the caller's seq back to even if a node is out, and
+// returns it.
+func (r *Pool) retire(p memory.Port) memory.Word {
 	i := p.PID()
-	if p.Read(r.in[i]) != p.Read(r.out[i]) {
-		p.Write(r.out[i], p.Read(r.out[i])+1)
+	s := p.Read(r.seq[i])
+	if s&1 == 1 {
+		s++
+		p.Write(r.seq[i], s)
 	}
+	return s
 }
 
-// epoch advances the incremental scan/wait/flip state machine by one
-// allocation's worth of work ("Epoch()" of Algorithm 4). Every step is
-// idempotent, so re-execution after a crash is harmless.
-func (r *Pool) epoch(p memory.Port) {
+// epoch is one allocation's step of the scan ("Epoch()" of Algorithm 4):
+// wait until peer k's request recorded n allocations ago has retired,
+// then record k's request now in flight. Re-running it after a crash is
+// harmless.
+func (r *Pool) epoch(p memory.Port, k int, nt *NotifyPool) {
 	i := p.PID()
-	if p.Read(r.sw[i]) == swCompleted {
-		if p.Read(r.mode[i]) == modeScan {
-			idx := int(p.Read(r.index[i]))
-			p.Write(r.snapshot[i][idx], p.Read(r.in[idx]))
-			if idx < r.n-1 {
-				p.Write(r.index[i], memory.Word(idx+1))
-			} else {
-				p.Write(r.mode[i], modeWait)
-			}
-		}
-		if p.Read(r.mode[i]) == modeWait {
-			idx := int(p.Read(r.index[i]))
-			// Wait until the request that was in flight at snapshot
-			// time has retired its node.
-			for p.Read(r.snapshot[i][idx]) > p.Read(r.out[idx]) {
-				p.Pause()
-			}
-			if idx > 0 {
-				p.Write(r.index[i], memory.Word(idx-1))
-			} else {
-				p.Write(r.sw[i], swStarted)
-			}
+	t := p.Read(r.snapshot[i][k])
+	var v memory.Word
+	if nt != nil {
+		v = nt.await(p, k, t)
+	} else {
+		v = p.Read(r.seq[k])
+		for t != 0 && v <= t {
+			p.Pause()
+			v = p.Read(r.seq[k])
 		}
 	}
-	if p.Read(r.sw[i]) == swStarted {
-		if p.Read(r.poolIdx[i]) == p.Read(r.confirm[i]) {
-			p.Write(r.poolIdx[i], 1-p.Read(r.poolIdx[i]))
-		}
-		p.Write(r.sw[i], swInProgress)
+	if v&1 == 0 {
+		v = 0
 	}
-	if p.Read(r.sw[i]) == swInProgress {
-		if p.Read(r.poolIdx[i]) != p.Read(r.confirm[i]) {
-			p.Write(r.confirm[i], p.Read(r.poolIdx[i]))
-		}
-		p.Write(r.mode[i], modeScan)
-		p.Write(r.sw[i], swCompleted)
+	if v != t {
+		p.Write(r.snapshot[i][k], v)
 	}
 }
 
 // Words returns the number of shared-memory words the pool occupies —
-// the space-bound figure (O(n²) per lock instance).
+// the space-bound figure (n(5n+1), O(n²) per lock instance).
 func (r *Pool) Words() int {
-	perProc := 2*2*r.n*nodeWords + 7 + r.n
-	return r.n * perProc
+	return r.n * (2*r.n*nodeWords + 1 + r.n)
 }
 
 // Outstanding reports, from a debug snapshot, how many nodes process i
 // has allocated but not retired (0 or 1 under Algorithm 2's single-node
 // discipline).
 func (r *Pool) Outstanding(pk interface{ Peek(memory.Addr) memory.Word }, i int) int {
-	return int(pk.Peek(r.in[i]) - pk.Peek(r.out[i]))
+	return int(pk.Peek(r.seq[i]) & 1)
 }

@@ -38,52 +38,33 @@ func TestRetireIdempotent(t *testing.T) {
 	r.NewNode(p)
 	r.Retire(p)
 	r.Retire(p) // crash-retry of Exit: no double retire
-	if got := a.Peek(r.out[0]); got != 1 {
-		t.Fatalf("out = %d, want 1", got)
-	}
-	if got := a.Peek(r.in[0]); got != 1 {
-		t.Fatalf("in = %d, want 1", got)
+	if got := a.Peek(r.seq[0]); got != 2 {
+		t.Fatalf("seq = %d, want 2", got)
 	}
 }
 
 func TestNodesDistinctWithinWindow(t *testing.T) {
-	// Consecutive allocations (with retires) must hand out 2n distinct
-	// nodes before any slot can recur, and a recurrence must never be
-	// closer than 2n allocations apart.
-	const n = 4
-	a := memory.NewArena(memory.CC, n)
-	r := NewPool(a, n)
-	p := a.Port(0, nil)
-
-	seen := map[memory.Addr]int{}
-	for k := 0; k < 10*n; k++ {
-		node := r.NewNode(p)
-		if prev, ok := seen[node]; ok && k-prev < 2*n {
-			t.Fatalf("slot %d reused after only %d allocations", node, k-prev)
+	// Allocation a hands out slot a mod 2n: consecutive allocations (with
+	// retires) hand out 2n distinct nodes, and a node comes back at
+	// exactly allocation a+2n, never sooner.
+	for _, n := range []int{1, 2, 3, 4, 5} {
+		a := memory.NewArena(memory.CC, n)
+		r := NewPool(a, n)
+		p := a.Port(n-1, nil)
+		last := map[memory.Addr]int{}
+		for k := 0; k < 6*n; k++ {
+			node := r.NewNode(p)
+			if prev, ok := last[node]; ok && k-prev != 2*n {
+				t.Fatalf("n=%d: node %d handed out at allocations %d and %d, want %d apart", n, node, prev, k, 2*n)
+			} else if !ok && k >= 2*n {
+				t.Fatalf("n=%d: allocation %d handed out a node unseen in the first lap", n, k)
+			}
+			last[node] = k
+			r.Retire(p)
 		}
-		seen[node] = k
-		r.Retire(p)
-	}
-}
-
-func TestPoolFlips(t *testing.T) {
-	const n = 2
-	a := memory.NewArena(memory.CC, n)
-	r := NewPool(a, n)
-	p := a.Port(0, nil)
-
-	flips := 0
-	last := a.Peek(r.poolIdx[0])
-	for k := 0; k < 20*n; k++ {
-		r.NewNode(p)
-		r.Retire(p)
-		if cur := a.Peek(r.poolIdx[0]); cur != last {
-			flips++
-			last = cur
+		if len(last) != 2*n {
+			t.Fatalf("n=%d: %d distinct nodes, want %d", n, len(last), 2*n)
 		}
-	}
-	if flips < 2 {
-		t.Fatalf("pool halves flipped %d times over %d allocations, want ≥ 2", flips, 20*n)
 	}
 }
 
@@ -101,9 +82,9 @@ func (g *fuseGate) Step(pid int, op memory.OpInfo) {
 }
 
 func TestEpochWaitsForPendingRequest(t *testing.T) {
-	// Process 1 holds an un-retired node. Once process 0's epoch scan
-	// has snapshotted it and reached Wait mode on index 1, process 0's
-	// next allocation must spin until process 1 retires.
+	// Process 1 holds an un-retired node. Once process 0's epoch has
+	// recorded it, process 0's allocation n later that looks at process
+	// 1 again must spin until process 1 retires.
 	const n = 2
 	a := memory.NewArena(memory.CC, n)
 	r := NewPool(a, n)
@@ -111,9 +92,9 @@ func TestEpochWaitsForPendingRequest(t *testing.T) {
 	p1 := a.Port(1, nil)
 	r.NewNode(p1) // pending request of process 1
 
-	// Drive process 0's allocations with a step fuse: once the scan has
-	// snapshotted process 1's pending request and enters Wait mode on
-	// it, the allocation spins and the fuse blows.
+	// Drive process 0's allocations with a step fuse: once an epoch
+	// step waits for process 1's recorded request, the allocation spins
+	// and the fuse blows.
 	alloc := func() (blocked bool) {
 		defer func() {
 			if e := recover(); e != nil {
@@ -135,7 +116,7 @@ func TestEpochWaitsForPendingRequest(t *testing.T) {
 	if !blocked {
 		t.Fatal("epoch never waited for the pending request")
 	}
-	if a.Peek(r.snapshot[0][1]) <= a.Peek(r.out[1]) {
+	if rec := a.Peek(r.snapshot[0][1]); rec == 0 || rec != a.Peek(r.seq[1]) {
 		t.Fatal("blocked, but not on process 1's pending request")
 	}
 	// Still blocked on retry (the wait is real, not transient).
@@ -151,14 +132,14 @@ func TestEpochWaitsForPendingRequest(t *testing.T) {
 }
 
 func TestWords(t *testing.T) {
-	a := memory.NewArena(memory.CC, 4)
-	r := NewPool(a, 4)
-	if r.Words() <= 0 {
-		t.Fatal("non-positive word count")
-	}
-	// The arena must have allocated at least the pool nodes.
-	if a.Size() < 4*2*8*2 {
-		t.Fatalf("arena size %d smaller than pool nodes", a.Size())
+	for _, n := range []int{1, 4, 8} {
+		a := memory.NewArena(memory.CC, n)
+		r := NewPool(a, n)
+		// n(5n+1): 2n two-word nodes, seq and n snapshot words per
+		// process; the arena's word 0 is Nil.
+		if want := n * (5*n + 1); r.Words() != want || a.Size() != 1+want {
+			t.Fatalf("n=%d: Words() = %d, arena %d words, want %d (+1 for Nil)", n, r.Words(), a.Size(), want)
+		}
 	}
 }
 

@@ -507,14 +507,14 @@ func TestMapRecycleMatchesFreshLock(t *testing.T) {
 			}
 		}
 		s, _ := ma.MetricsSnapshot()
-		want := map[int]uint64{41: 7, 42: 43}
+		want := map[int]uint64{34: 7, 36: 43}
 		for c, got := range s.RMRHist.Counts {
 			if got != want[c] {
 				t.Errorf("base %d: %d passages cost %d RMRs, want %d", base, got, c, want[c])
 			}
 		}
-		if s.RMRs != 2093 {
-			t.Errorf("base %d: RMRs = %d, want 2093", base, s.RMRs)
+		if s.RMRs != 1786 {
+			t.Errorf("base %d: RMRs = %d, want 1786", base, s.RMRs)
 		}
 		if st := ma.Stats(); st.Instantiated != 50 || st.Segments != 1 {
 			t.Errorf("base %d: instantiated=%d segments=%d, want 50/1", base, st.Instantiated, st.Segments)
@@ -525,8 +525,8 @@ func TestMapRecycleMatchesFreshLock(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Passage(0, func() {})
-		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[41] != 1 {
-			t.Errorf("base %d: a fresh Mutex's first passage is not 41 RMRs: %v", base, ms.RMRs)
+		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[34] != 1 {
+			t.Errorf("base %d: a fresh Mutex's first passage is not 34 RMRs: %v", base, ms.RMRs)
 		}
 	}
 }

@@ -25,16 +25,18 @@ import (
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image.
 
-// snapMagic identifies the snapshot format. RMESNAP3 is the padded arena
-// layout with each arbitrator's shared words on one cache line. Streams
-// of an older layout are refused rather than silently misinterpreted,
-// since word addresses moved when the layout changed: see oldSnapLayouts.
-const snapMagic = "RMESNAP3"
+// snapMagic identifies the snapshot format. RMESNAP4 is the padded arena
+// layout with each arbitrator's shared words on one cache line and one
+// ring of 2n queue nodes per process and level. Streams of an older
+// layout are refused rather than silently misinterpreted, since word
+// addresses moved when the layout changed: see oldSnapLayouts.
+const snapMagic = "RMESNAP4"
 
 // oldSnapLayouts names the layout each refused magic recorded.
 var oldSnapLayouts = map[string]string{
 	"RMESNAP1": "the dense arena layout",
 	"RMESNAP2": "the padded layout with a cache line per arbitrator word",
+	"RMESNAP3": "the double-pool layout with two halves of 2n queue nodes per process and level",
 }
 
 // snapTable is the CRC-64 polynomial for the integrity footer appended to

@@ -279,21 +279,21 @@ func TestFootprintBoundedWithReclamation(t *testing.T) {
 // footprint and a Map region's size, in words, for both bases. Each
 // arbitrator's seven shared words fill one cache line. Every footprint
 // also clears the 4n² floor Restore holds a snapshot's length to, since
-// the pools alone take 8n² words per level.
+// the node rings alone take n(5n+1) words per level.
 func TestLayoutFootprints(t *testing.T) {
 	for _, c := range []struct {
 		base            Base
 		n               int
 		footprint, slot int
 	}{
-		{BaseTournament, 1, 56, 48},
-		{BaseTournament, 2, 104, 96},
-		{BaseTournament, 8, 2248, 2240},
-		{BaseTournament, 64, 230544, 230536},
-		{BaseArbTree, 1, 56, 48},
-		{BaseArbTree, 2, 184, 176},
-		{BaseArbTree, 8, 1872, 1864},
-		{BaseArbTree, 64, 117480, 117472},
+		{BaseTournament, 1, 48, 40},
+		{BaseTournament, 2, 88, 80},
+		{BaseTournament, 8, 1352, 1344},
+		{BaseTournament, 64, 130192, 130184},
+		{BaseArbTree, 1, 48, 40},
+		{BaseArbTree, 2, 152, 144},
+		{BaseArbTree, 8, 1296, 1288},
+		{BaseArbTree, 64, 67304, 67296},
 	} {
 		m, err := New(c.n, WithBase(c.base))
 		if err != nil {
