@@ -293,8 +293,12 @@ func sweepOne(spec workload.Spec, mdl memory.Model, o sweepOpts) (placements, vi
 			nAborts++
 		}
 	}
-	fmt.Fprintf(o.stdout, "%-10s %v: %d placements (%d abort, %d instructions traced), %d violations\n",
-		spec.Name, mdl, len(plan.Placements), nAborts, traced(plan), violations)
+	pairs := ""
+	if o.pairs {
+		pairs = fmt.Sprintf(", %d of %d crash pairs", plan.PairsTried, plan.PairsTotal)
+	}
+	fmt.Fprintf(o.stdout, "%-10s %v: %d placements (%d abort, %d instructions traced%s), %d violations\n",
+		spec.Name, mdl, len(plan.Placements), nAborts, traced(plan), pairs, violations)
 	return len(plan.Placements), violations, nil
 }
 

@@ -37,7 +37,7 @@ func artifacts(t *testing.T, dir string) []string {
 func TestSweepClean(t *testing.T) {
 	dir := t.TempDir()
 	code, out := runCLI(t, dir, "-locks", "wr", "-n", "2", "-requests", "1", "-model", "cc")
-	if code != 0 || !strings.Contains(out, "rmesweep: 67 placements, 0 violations") {
+	if code != 0 || !strings.Contains(out, "rmesweep: 59 placements, 0 violations") {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 	if files := artifacts(t, dir); len(files) != 0 {
@@ -63,9 +63,9 @@ func TestRandomCampaigns(t *testing.T) {
 // battery. A process crashing right after the filter's FAS can put two
 // processes in the critical section, which Definition 3.2 allows a weak
 // lock and no strong one: the sweep must report it, exit 1 and write an
-// artifact that replays the same violation. On wr's node ring one such
-// crash suffices (p2 at instruction 20, the only violating single-crash
-// placement), so the sweep tries no crash pairs.
+// artifact that replays the same violation. At seed 1 no single crash
+// violates, so the sweep also tries crash pairs, at the default cap of
+// 64; exactly one of them violates.
 func TestPlantedViolation(t *testing.T) {
 	planted, err := workload.Lookup("wr")
 	if err != nil {
@@ -75,7 +75,7 @@ func TestPlantedViolation(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	violations, err := sweep([]workload.Spec{planted}, []memory.Model{memory.CC}, sweepOpts{
-		n: 4, requests: 2, seed: 1, csops: 2,
+		n: 4, requests: 2, seed: 1, csops: 2, pairs: true, maxPairs: 64,
 		outDir: dir, stdout: &out,
 	})
 	if err != nil {

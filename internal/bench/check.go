@@ -14,10 +14,10 @@ import (
 // passage is one fixed instruction sequence, so the median does not
 // depend on the passage count or the machine, and the DES anchor rows
 // simulate the same recipe.
-const soloRMRs = 29
+const soloRMRs = 19
 
 // rmrBudget bounds failure-free medians where native scheduling varies
-// (workers > 1). Single-core medians sit at 29; the headroom is for
+// (workers > 1). Single-core medians sit at 19; the headroom is for
 // multi-core contention, while an O(1)-complexity regression shows up as
 // hundreds of RMRs.
 const rmrBudget = 80

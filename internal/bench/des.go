@@ -17,11 +17,6 @@ import (
 // (monotone percentiles, delivered crashes and aborts, and the low-rate
 // anchor costing exactly the native failure-free median).
 
-// desAbortDeadlineNs is the passage deadline of the abort regime in
-// virtual nanoseconds: shorter than the p50 waiting time at the collapse
-// rate, so deadlines actually fire.
-const desAbortDeadlineNs = 30_000
-
 // DESTraffic runs the full trajectory and assembles the report.
 func DESTraffic(o ReportOpts) (*Report, error) {
 	return desTraffic(o, des.Run)
@@ -69,15 +64,21 @@ func desTraffic(o ReportOpts, run func(des.Config) (*des.Result, error)) (*Repor
 		keyed.Keys = o.DESKeys
 		// Deadline-abort traffic at the collapse rate: waiting long enough
 		// that per-passage deadlines fire, exercising the TryLockFor shape
-		// (back-out, fresh-arrival retry) under sustained contention.
+		// (back-out, fresh-arrival retry) under sustained contention. Its
+		// deadline follows the ramp row at the same rate, set below.
 		abort := at(des.Poisson, top)
-		abort.Aborts = des.Aborts{DeadlineNs: desAbortDeadlineNs}
 		// One straggler running 8x slow through mid-ramp traffic.
 		strag := at(des.Poisson, mid)
 		strag.Stragglers = des.Stragglers{Count: 1, Factor: 8}
 		points = append(points, point{"zipf", keyed}, point{"abort", abort}, point{"straggler", strag})
 
+		start := len(rep.Results)
 		for _, pt := range points {
+			if pt.regime == "abort" {
+				// Just under the deadline-free p50 of the ramp row at the
+				// collapse rate (points[len(rates)]), so deadlines fire.
+				pt.cfg.Aborts = des.Aborts{DeadlineNs: des.AbortDeadline(rep.Results[start+len(rates)].P50Ns)}
+			}
 			res, err := run(pt.cfg)
 			if err == nil && res.MaxKeyCSOverlap > 1 {
 				err = fmt.Errorf("per-key CS overlap %d", res.MaxKeyCSOverlap)

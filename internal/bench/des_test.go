@@ -16,7 +16,9 @@ func TestDESTrafficStructure(t *testing.T) {
 	var calls []des.Config
 	stub := func(cfg des.Config) (*des.Result, error) {
 		calls = append(calls, cfg)
-		return &des.Result{Passages: 1, VirtualNs: 1, MaxKeyCSOverlap: 1}, nil
+		res := &des.Result{Passages: 1, VirtualNs: 1, MaxKeyCSOverlap: 1}
+		res.Passage.P50Ns = 10 * int64(cfg.Arrival.Rate)
+		return res, nil
 	}
 
 	rates := []float64{100, 200, 300}
@@ -61,7 +63,8 @@ func TestDESTrafficStructure(t *testing.T) {
 			t.Fatalf("zipf regime misconfigured: %+v", zipf)
 		}
 		abort := seq[4+len(rates)]
-		if abort.Aborts.DeadlineNs != desAbortDeadlineNs || abort.Arrival.Rate != rates[len(rates)-1] ||
+		if abort.Aborts.DeadlineNs != des.AbortDeadline(rows[len(rates)].P50Ns) || abort.Aborts.DeadlineNs == 0 ||
+			abort.Arrival.Rate != rates[len(rates)-1] ||
 			rows[4+len(rates)].Regime != "abort" {
 			t.Fatalf("abort regime misconfigured: %+v", abort)
 		}

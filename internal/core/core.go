@@ -62,7 +62,6 @@ const (
 // resumes the dance from Recover instead of losing track of the node.
 const (
 	stateFree memory.Word = iota
-	stateInitializing
 	stateTrying
 	stateInCS
 	stateLeaving

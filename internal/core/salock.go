@@ -135,9 +135,7 @@ func (l *SALock) Enter(p memory.Port) {
 	}
 
 	l.enterPhase(i, PhaseArbitrator)
-	side := l.side(p)
-	l.arb.Recover(p, side)
-	l.arb.Enter(p, side)
+	l.arb.Enter(p, l.side(p))
 }
 
 // Exit implements the Exit segment of Algorithm 3: components are
@@ -149,10 +147,10 @@ func (l *SALock) Exit(p memory.Port) {
 
 	if p.Read(l.typ[i]) == pathSlow {
 		l.core.Exit(p)
+		p.Write(l.typ[i], pathFast) // reset the path type to its default
 	} else {
 		l.split.Release(p) // the fast path is now empty
 	}
-	p.Write(l.typ[i], pathFast) // reset the path type to its default
 
 	l.filter.Exit(p)
 }
@@ -160,9 +158,11 @@ func (l *SALock) Exit(p memory.Port) {
 // Abort implements Aborter: it backs the process out of however much of
 // the pipeline it holds, in Exit's release order, after its Enter was
 // unwound at an instruction boundary (DESIGN §15). Components never
-// reached release as no-ops: the arbitrator's Exit returns unless this
-// process occupies the side, the splitter is released only when Mine, and
-// the filter's Abort handles every state including "never entered".
+// reached release as no-ops: the arbitrator's Exit writes nothing unless
+// this process occupies the side (it still signals the rival, which
+// repairs a wake-up lost to a crash in the previous Exit), the splitter
+// is released only when Mine, and the filter's Abort handles every state
+// including "never entered".
 // Every step is crash-idempotent, so a crash mid-abort is repaired by the
 // next passage's normal Recover+Enter (which then re-acquires).
 func (l *SALock) Abort(p memory.Port) {
@@ -183,12 +183,12 @@ func (l *SALock) Abort(p memory.Port) {
 			l.core.Enter(p)
 			l.core.Exit(p)
 		}
+		p.Write(l.typ[i], pathFast)
 	} else if l.split.Mine(p) {
 		// Unlike Exit, the fast path is released only when actually
 		// held: an abort can fire before the splitter was won.
 		l.split.Release(p)
 	}
-	p.Write(l.typ[i], pathFast)
 
 	l.filter.Abort(p)
 }

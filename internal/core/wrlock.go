@@ -18,9 +18,11 @@ import (
 //   - per-process state (state, mine, pred) lives in shared memory and is
 //     advanced only at the end of idempotent blocks, so re-executing a
 //     block after a crash is harmless;
-//   - the outcomes of the CAS instructions on next fields and on tail are
-//     never used — the fields are re-read instead — making those steps
-//     idempotent;
+//   - the outcomes of the CAS instructions on next fields are never used
+//     — the fields are re-read instead — making those steps idempotent;
+//     Exit uses its tail CAS's outcome only to skip signalling when
+//     success proves there is no successor, and a repeated Exit's CAS
+//     fails and signals;
 //   - the only sensitive instruction (Definition 3.3) is the FAS on tail:
 //     a crash between the FAS and persisting its result into pred[i]
 //     strands the process's node at the head of a new sub-queue. Recover
@@ -107,21 +109,20 @@ func (l *WRLock) Recover(p memory.Port) {
 		// top repairs a crash at any boundary inside it.
 		l.finishAbandon(p)
 	}
-	if p.Read(l.state[i]) == stateFree {
-		p.Write(l.mine[i], memory.FromAddr(memory.Nil))
-		p.Write(l.state[i], stateInitializing)
-	}
 }
 
 // Enter implements the Enter segment of Algorithm 2.
 func (l *WRLock) Enter(p memory.Port) {
 	i := p.PID()
-	if p.Read(l.state[i]) == stateInitializing {
-		if memory.AsAddr(p.Read(l.mine[i])) == memory.Nil {
-			node := l.src.NewNode(p)
+	if p.Read(l.state[i]) == stateFree {
+		// NewNode hands out the same node until Retire, so a crash
+		// anywhere in this block re-runs it with the same node. (A
+		// fresh-node source hands out another, but the first was never
+		// published.)
+		node := l.src.NewNode(p)
+		if memory.AsAddr(p.Read(l.mine[i])) != node {
 			p.Write(l.mine[i], memory.FromAddr(node))
 		}
-		node := memory.AsAddr(p.Read(l.mine[i]))
 		p.Write(next(node), memory.FromAddr(memory.Nil))
 		p.Write(locked(node), memory.Bool(true))
 		// Setting pred[i] = mine[i] lets Recover detect a failure
@@ -167,18 +168,23 @@ func (l *WRLock) Exit(p memory.Port) {
 	p.Write(l.state[i], stateLeaving)
 	node := memory.AsAddr(p.Read(l.mine[i]))
 
-	// Remove my node from the queue if it has no successor. The outcome
-	// is ignored (idempotent; see Section 4.3).
-	p.CAS(l.tail, memory.FromAddr(node), memory.FromAddr(memory.Nil)) // rme:nonsensitive(outcome ignored; repeating the CAS after a crash is a no-op)
-	// May have a successor: mark the next field with my own address so a
-	// late-linking successor learns the lock is free (wait-free signal).
-	p.CAS(next(node), memory.FromAddr(memory.Nil), memory.FromAddr(node)) // rme:nonsensitive(wait-free exit signal; succeeds at most once and re-running it is a no-op)
+	// Remove my node from the queue if it has no successor. Success
+	// means tail still holds the node only this process's FAS put there
+	// and no FAS has returned it, so there is no successor to signal. A
+	// repeated CAS after a crash fails and runs the idempotent signalling
+	// below, which is harmless without a successor (see Section 4.3).
+	if !p.CAS(l.tail, memory.FromAddr(node), memory.FromAddr(memory.Nil)) { // rme:nonsensitive(success proves no successor; a repeated CAS after a crash fails and takes the idempotent signalling path)
+		// May have a successor: mark the next field with my own address
+		// so a late-linking successor learns the lock is free (wait-free
+		// signal).
+		p.CAS(next(node), memory.FromAddr(memory.Nil), memory.FromAddr(node)) // rme:nonsensitive(wait-free exit signal; succeeds at most once and re-running it is a no-op)
 
-	if nxt := memory.AsAddr(p.Read(next(node))); nxt != node {
-		// The link was already created; tell the successor to stop
-		// spinning.
-		p.Label(l.handoffLabel)
-		p.Write(locked(nxt), memory.Bool(false))
+		if nxt := memory.AsAddr(p.Read(next(node))); nxt != node {
+			// The link was already created; tell the successor to
+			// stop spinning.
+			p.Label(l.handoffLabel)
+			p.Write(locked(nxt), memory.Bool(false))
+		}
 	}
 
 	l.src.Retire(p)
@@ -207,9 +213,9 @@ func (l *WRLock) Exit(p memory.Port) {
 func (l *WRLock) Abort(p memory.Port) {
 	i := p.PID()
 	switch p.Read(l.state[i]) {
-	case stateFree, stateInitializing:
+	case stateFree:
 		// Nothing is queued: the node (if any) was never shared, and the
-		// next Enter reuses or reinitializes it idempotently.
+		// next Enter reuses and reinitializes it idempotently.
 		return
 	case stateTrying:
 		node := memory.AsAddr(p.Read(l.mine[i]))

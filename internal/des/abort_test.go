@@ -11,7 +11,8 @@ import (
 // TestAbortIdentity drives deadline-abort traffic through the engine and
 // asserts the accounting identity the abort CI gate pins on the native
 // path — Attempts == Passages + Aborted + CrashedAttempts — holds under
-// virtual time too, with aborts actually delivered.
+// virtual time too, with aborts actually delivered. The deadline follows
+// a deadline-free run of the same traffic.
 func TestAbortIdentity(t *testing.T) {
 	cfg := Config{
 		Lock:     "ba-log",
@@ -19,8 +20,8 @@ func TestAbortIdentity(t *testing.T) {
 		Requests: 30,
 		Seed:     7,
 		Arrival:  Arrival{Kind: Poisson, Rate: 1_000_000},
-		Aborts:   Aborts{DeadlineNs: 20_000},
 	}
+	cfg.Aborts = Aborts{DeadlineNs: AbortDeadline(mustRun(t, cfg).Passage.P50Ns)}
 	res := mustRun(t, cfg)
 	if err := check.Strong(res.Sim, 1<<20); err != nil {
 		t.Fatalf("property check under abort traffic: %v", err)

@@ -77,8 +77,7 @@ func (t *Tournament) Height() int {
 	return h
 }
 
-// Recover is empty: each arbitrator is recovered immediately before its
-// Enter, mirroring the composite-lock convention of Algorithm 3.
+// Recover is empty: an arbitrator needs no recovery before its Enter.
 func (t *Tournament) Recover(p memory.Port) {}
 
 // Enter acquires every arbitrator on the process's leaf-to-root path.
@@ -87,13 +86,13 @@ func (t *Tournament) Recover(p memory.Port) {}
 // length.
 func (t *Tournament) Enter(p memory.Port) {
 	for _, st := range t.paths[p.PID()] {
-		st.arb.Recover(p, st.side)
 		st.arb.Enter(p, st.side)
 	}
 }
 
 // Exit releases the path in reverse (root first). Re-execution after a
-// crash is safe: arbitrators released earlier ignore the duplicate exit.
+// crash is safe: arbitrators released earlier only signal their rival
+// again.
 func (t *Tournament) Exit(p memory.Port) {
 	path := t.paths[p.PID()]
 	for i := len(path) - 1; i >= 0; i-- {
@@ -103,8 +102,8 @@ func (t *Tournament) Exit(p memory.Port) {
 
 // Abort backs the process out after an unwound Enter. The full reverse
 // release walk is exactly the right back-out: arbitrators never reached
-// ignore the exit (occupant guard), the stage the process was trying
-// retracts its doorway (yalock's Exit works from ssTrying), and held
-// stages release normally — O(log n) steps, no waiting, and every step is
-// one a post-crash Recover+Enter repairs.
+// only signal their rival (occupant guard), the stage the process was
+// trying retracts its doorway (yalock's Exit works from ssTrying), and
+// held stages release normally — O(log n) steps, no waiting, and every
+// step is one a post-crash Recover+Enter repairs.
 func (t *Tournament) Abort(p memory.Port) { t.Exit(p) }

@@ -303,7 +303,8 @@ func TestSweepPairsEscalation(t *testing.T) {
 }
 
 // Sweep smoke tests sized for the -race CI job: a horizon-capped WR-Lock
-// and SA-Lock sweep with full property checking.
+// and SA-Lock sweep, and a full-horizon tournament sweep with aborts, with
+// full property checking.
 
 func sweepSmoke(t *testing.T, lock string) {
 	spec, err := workload.Lookup(lock)
@@ -320,3 +321,28 @@ func sweepSmoke(t *testing.T, lock string) {
 
 func TestSweepSmokeWR(t *testing.T) { sweepSmoke(t, "wr") }
 func TestSweepSmokeSA(t *testing.T) { sweepSmoke(t, "sa") }
+
+// TestSweepSmokeTournament places a crash and an abort at every boundary
+// of a tournament of arbitrators (n = 3, two requests each). The
+// arbitrator has no RMW, so the horizon-capped smoke above never reaches
+// its Exit; this sweep crosses every boundary of it, including the one
+// between Exit's write and its signal.
+func TestSweepSmokeTournament(t *testing.T) {
+	spec, err := workload.Lookup("tournament")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []memory.Model{memory.CC, memory.DSM} {
+		plan, err := sim.PlanSweep(sim.SweepConfig{
+			Config: sim.Config{N: 3, Model: model, Requests: 2, Seed: 1, CSOps: 2, MaxSteps: 2_000_000},
+			Aborts: true,
+		}, spec.New)
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		for i := range plan.Placements {
+			checkPlacement(t, spec, model, plan, i)
+		}
+		t.Logf("%v: %d placements", model, len(plan.Placements))
+	}
+}

@@ -117,6 +117,10 @@ type SweepPlan struct {
 	Streams [][]memory.OpInfo
 	// Placements is the enumerated crash plan.
 	Placements []Placement
+	// PairsTried and PairsTotal count, when SweepConfig.Pairs is set, the
+	// two-crash placements in the plan and the pairs of after-RMW points
+	// that exist; MaxPairs keeps the first PairsTried of them.
+	PairsTried, PairsTotal int
 
 	afterCover map[CrashPoint]bool
 }
@@ -219,8 +223,6 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 			}
 			return a.pt.OpIndex < b.pt.OpIndex
 		})
-		pairs := 0
-	pairLoop:
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
 				a, b := pool[i], pool[j]
@@ -233,13 +235,13 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 				if a.pt.PID == b.pt.PID && a.pt.OpIndex >= b.pt.OpIndex {
 					continue
 				}
-				sp.Placements = append(sp.Placements, Placement{
-					Points: []CrashPoint{a.pt, b.pt},
-					After:  []memory.OpInfo{a.op, b.op},
-				})
-				pairs++
-				if pairs >= sc.MaxPairs {
-					break pairLoop
+				sp.PairsTotal++
+				if sp.PairsTried < sc.MaxPairs {
+					sp.Placements = append(sp.Placements, Placement{
+						Points: []CrashPoint{a.pt, b.pt},
+						After:  []memory.OpInfo{a.op, b.op},
+					})
+					sp.PairsTried++
 				}
 			}
 		}

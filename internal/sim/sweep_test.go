@@ -127,6 +127,22 @@ func TestPlanSweepPairs(t *testing.T) {
 	if len(pairs) > 10 {
 		t.Fatalf("%d pairs exceed MaxPairs", len(pairs))
 	}
+	// The plan counts the pairs it keeps and every pair that exists: an
+	// uncapped plan keeps them all.
+	if sp.PairsTried != len(pairs) || sp.PairsTotal <= sp.PairsTried {
+		t.Fatalf("pairs tried/total = %d/%d, want %d of more", sp.PairsTried, sp.PairsTotal, len(pairs))
+	}
+	all, err := PlanSweep(SweepConfig{
+		Config:   Config{N: 3, Model: memory.CC, Requests: 1, Seed: 7},
+		Pairs:    true,
+		MaxPairs: sp.PairsTotal + 1,
+	}, newFASLock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.PairsTried != sp.PairsTotal || all.PairsTotal != sp.PairsTotal {
+		t.Fatalf("uncapped pairs tried/total = %d/%d, want %d/%d", all.PairsTried, all.PairsTotal, sp.PairsTotal, sp.PairsTotal)
+	}
 	for _, pl := range pairs {
 		a, b := pl.Points[0], pl.Points[1]
 		if a == b {

@@ -6,18 +6,18 @@
 // The paper instantiates the arbitrator with Golab and Ramaraju's
 // recoverable transformation of Yang and Anderson's 2-process lock. This
 // implementation keeps that algorithm's shape — a Peterson/Yang–Anderson
-// style doorway (intent flags and a turn word) with strictly local
-// spinning — and adds recoverability with a per-side state machine, an
-// occupant word used to guard idempotent re-execution, and explicit
-// wake-up signalling so waiters spin only on a word in their own memory
-// module (O(1) RMRs per passage under both CC and DSM, in every failure
-// scenario).
+// style doorway (one word per side holding its intent and identity, and
+// a turn word) with strictly local spinning — and adds recoverability
+// with a per-side state kept in that same word, so a side moves between
+// states in one write, and explicit wake-up signalling so waiters spin
+// only on a word in their own memory module (O(1) RMRs per passage under
+// both CC and DSM, in every failure scenario).
 //
 // Contract (inherited from the framework): the lock has two ports, Left
 // and Right; at most one process attempts to acquire each side at any
 // time, though which process occupies a side may change between
-// acquisitions. A process that crashes mid-acquisition re-attempts the
-// same side until its passage completes.
+// acquisitions. A process that crashes mid-passage re-attempts the same
+// side, starting from Enter, until its passage completes.
 package yalock
 
 import (
@@ -50,28 +50,32 @@ func (s Side) String() string {
 
 func (s Side) other() Side { return 1 - s }
 
-// Per-side recovery states. Idle is the zero value.
+// Per-side states, the low two bits of a side word. Idle is the zero
+// value, and an Idle side has no occupant, so a free side is the word 0.
+// A side is interested (Peterson's flag) while Trying or InCS.
 const (
 	ssIdle memory.Word = iota
 	ssTrying
 	ssInCS
-	ssLeaving
+
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
 )
+
+// sideWord packs a side's occupant (pid+1) and state.
+func sideWord(me, st memory.Word) memory.Word { return me<<stateBits | st }
 
 // Arbitrator is the dual-port strongly recoverable lock.
 type Arbitrator struct {
 	n int
 
-	flag   [2]memory.Addr // intent of each side
-	who    [2]memory.Addr // occupant of each side (pid+1, 0 if none)
-	sstate [2]memory.Addr // recovery state of each side
-	turn   memory.Addr    // Peterson turn word: the side stored yields
-	spin   []memory.Addr  // per-process local spin words
+	turn memory.Addr    // Peterson turn word: the side stored yields
+	side [2]memory.Addr // occupant (pid+1) << 2 | state of each side
+	spin []memory.Addr  // per-process local spin words
 }
 
-// sharedWords is the number of shared words: turn, then flag, who and
-// sstate for each side.
-const sharedWords = 7
+// sharedWords is the number of shared words: turn, then each side's word.
+const sharedWords = 3
 
 // New allocates an arbitrator for n processes in sp. The shared words
 // are one allocation, so a native arena puts them on one cache line of
@@ -85,11 +89,8 @@ func New(sp memory.Space, n int) *Arbitrator {
 	a := &Arbitrator{
 		n:    n,
 		turn: base,
+		side: [2]memory.Addr{base + 1, base + 2},
 		spin: make([]memory.Addr, n),
-	}
-	for s := 0; s < 2; s++ {
-		side := base + 1 + 3*memory.Addr(s)
-		a.flag[s], a.who[s], a.sstate[s] = side, side+1, side+2
 	}
 	for i := 0; i < n; i++ {
 		a.spin[i] = sp.Alloc(1, i) // spin locally under DSM
@@ -97,53 +98,37 @@ func New(sp memory.Space, n int) *Arbitrator {
 	return a
 }
 
-// Recover restores side s after a failure of its occupant. If the
-// occupant crashed mid-Exit, the exit is completed; every other state is
-// repaired by Enter's idempotent doorway. Bounded (BR).
-func (a *Arbitrator) Recover(p memory.Port, s Side) {
-	i := p.PID()
-	if p.Read(a.sstate[s]) == ssLeaving && p.Read(a.who[s]) == memory.Word(i+1) {
-		a.finishExit(p, s)
-	}
-}
-
 // Enter acquires side s. At most one process may be attempting each side.
+// Enter needs no Recover before it: a side leaves InCS in one write, so
+// no state is left half-finished for recovery to complete.
 func (a *Arbitrator) Enter(p memory.Port, s Side) {
 	i := p.PID()
 	me := memory.Word(i + 1)
 	o := s.other()
 
-	switch p.Read(a.sstate[s]) {
-	case ssInCS:
-		if p.Read(a.who[s]) == me {
-			return // crashed inside the CS: bounded re-entry (BCSR)
+	if w := p.Read(a.side[s]); w&stateMask == ssInCS {
+		if owner := w >> stateBits; owner != me {
+			panic(fmt.Sprintf("yalock: side %v in CS is owned by %d, not %d (port contract violated)",
+				s, owner-1, i))
 		}
-		panic(fmt.Sprintf("yalock: side %v in CS is owned by %d, not %d (port contract violated)",
-			s, p.Read(a.who[s]), i))
-	case ssLeaving:
-		// A previous exit on this side crashed after clearing the
-		// occupant word; only the final state write is missing.
-		if p.Read(a.who[s]) == 0 {
-			p.Write(a.sstate[s], ssIdle)
-		} else if p.Read(a.who[s]) == me {
-			a.finishExit(p, s)
-		} else {
-			panic(fmt.Sprintf("yalock: side %v mid-exit by %d while %d enters (port contract violated)",
-				s, p.Read(a.who[s]), i))
-		}
+		return // crashed inside the CS: bounded re-entry (BCSR)
 	}
 
 	// Doorway. Every step is idempotent: re-executing the doorway after
 	// a crash is equivalent to a fresh competitor arriving, which the
-	// Peterson-style argument already tolerates.
-	p.Write(a.who[s], me)
-	p.Write(a.sstate[s], ssTrying)
-	p.Write(a.flag[s], 1)
-	p.Write(a.spin[i], 0)
+	// Peterson-style argument already tolerates. The first write sets
+	// the intent before the turn write, as Peterson's order requires.
+	p.Write(a.side[s], sideWord(me, ssTrying))
+	if p.Read(a.spin[i]) != 0 {
+		p.Write(a.spin[i], 0) // drop a stale wake-up
+	}
 	p.Write(a.turn, memory.Word(s)) // yield: the side stored in turn waits
 
 	// The turn write may have unblocked the rival; wake it so it can
-	// re-evaluate its condition (it spins only on its local word).
+	// re-evaluate its condition (it spins only on its local word). This
+	// signal also repairs a wake-up lost when this side's previous Exit
+	// crashed between its write and its signal: the crashed passage
+	// restarts at Enter and passes through here.
 	a.signal(p, o)
 
 	// Wait while the rival is interested and it is our turn to yield.
@@ -151,40 +136,39 @@ func (a *Arbitrator) Enter(p memory.Port, s Side) {
 	// a bounded number of times per rival passage, so the loop costs
 	// O(1) RMRs overall.
 	// rme:rmw-loop(the spin[i] reset re-runs only when the rival signals, at most O(1) times per rival passage, so the Write retry is bounded)
-	for p.Read(a.flag[o]) != 0 && p.Read(a.turn) == memory.Word(s) {
+	for p.Read(a.side[o])&stateMask != ssIdle && p.Read(a.turn) == memory.Word(s) {
 		for p.Read(a.spin[i]) == 0 {
 			p.Pause()
 		}
 		p.Write(a.spin[i], 0)
 	}
 
-	p.Write(a.sstate[s], ssInCS)
+	p.Write(a.side[s], sideWord(me, ssInCS))
 }
 
-// Exit releases side s. Bounded and idempotent (BE): a crashed Exit is
-// completed by Recover or by the next Enter on the side.
+// Exit releases side s, from InCS or, retracting the doorway, from
+// Trying, and signals the rival. Bounded and idempotent (BE): the side
+// goes to Idle in one write, and once this process no longer occupies
+// it Exit only signals. A crash after that write loses at most the
+// rival's signal; every later Exit of the side sends it again, whether
+// the restarted passage re-runs Exit or backs out through it, and so
+// does the restarted passage's Enter.
 func (a *Arbitrator) Exit(p memory.Port, s Side) {
-	if p.Read(a.who[s]) != memory.Word(p.PID()+1) {
-		return // already fully released by this process
+	if p.Read(a.side[s])>>stateBits == memory.Word(p.PID()+1) {
+		p.Write(a.side[s], sideWord(0, ssIdle))
 	}
-	p.Write(a.sstate[s], ssLeaving)
-	a.finishExit(p, s)
-}
-
-func (a *Arbitrator) finishExit(p memory.Port, s Side) {
-	p.Write(a.flag[s], 0)
 	a.signal(p, s.other())
-	p.Write(a.who[s], 0)
-	p.Write(a.sstate[s], ssIdle)
 }
 
-// signal wakes the current occupant of side o, if any. Spurious wake-ups
-// are harmless: waiters always re-check their wait condition.
+// signal wakes the current occupant of side o, if it is interested.
+// Spurious wake-ups are harmless: waiters always re-check their wait
+// condition.
 func (a *Arbitrator) signal(p memory.Port, o Side) {
-	if p.Read(a.flag[o]) == 0 {
+	w := p.Read(a.side[o])
+	if w&stateMask == ssIdle {
 		return
 	}
-	if r := p.Read(a.who[o]); r != 0 && int(r-1) < a.n {
+	if r := w >> stateBits; r != 0 && int(r-1) < a.n {
 		p.Write(a.spin[r-1], 1)
 	}
 }
@@ -193,7 +177,7 @@ func (a *Arbitrator) signal(p memory.Port, o Side) {
 // debug snapshot of shared memory.
 func (a *Arbitrator) Holder(pk interface{ Peek(memory.Addr) memory.Word }) Side {
 	for s := Side(0); s < 2; s++ {
-		if pk.Peek(a.sstate[s]) == ssInCS {
+		if pk.Peek(a.side[s])&stateMask == ssInCS {
 			return s
 		}
 	}
@@ -224,8 +208,8 @@ func (l *TwoProcess) side(p memory.Port) Side {
 	return Right
 }
 
-// Recover implements the Recover segment.
-func (l *TwoProcess) Recover(p memory.Port) { l.a.Recover(p, l.side(p)) }
+// Recover implements the Recover segment; the arbitrator needs none.
+func (l *TwoProcess) Recover(p memory.Port) {}
 
 // Enter implements the Enter segment.
 func (l *TwoProcess) Enter(p memory.Port) { l.a.Enter(p, l.side(p)) }
@@ -234,8 +218,9 @@ func (l *TwoProcess) Enter(p memory.Port) { l.a.Enter(p, l.side(p)) }
 func (l *TwoProcess) Exit(p memory.Port) { l.a.Exit(p, l.side(p)) }
 
 // Abort backs the process out after an unwound Enter. Exit already does
-// exactly this from every state: its occupant guard makes it a no-op when
-// the doorway was never written, and from ssTrying it retracts the doorway
-// (flag cleared, rival signalled) — the property the framework relies on
-// to make the arbitrator stage abortable without waiting.
+// exactly this from every state: its occupant guard leaves the side alone
+// when the doorway was never written, and from ssTrying it retracts the
+// doorway (side cleared) — the property the framework relies on to make
+// the arbitrator stage abortable without waiting. Either way it signals
+// the rival, which repairs a wake-up lost to a crash in the previous Exit.
 func (l *TwoProcess) Abort(p memory.Port) { l.a.Exit(p, l.side(p)) }

@@ -1,6 +1,7 @@
 package yalock
 
 import (
+	"math/rand"
 	"testing"
 
 	"rme/internal/memory"
@@ -25,7 +26,7 @@ func (l *sideLock) side(p memory.Port) Side {
 	return Right
 }
 
-func (l *sideLock) Recover(p memory.Port) { l.a.Recover(p, l.side(p)) }
+func (l *sideLock) Recover(p memory.Port) {}
 func (l *sideLock) Enter(p memory.Port)   { l.a.Enter(p, l.side(p)) }
 func (l *sideLock) Exit(p memory.Port)    { l.a.Exit(p, l.side(p)) }
 
@@ -139,7 +140,6 @@ func TestArbitratorSequentialPortUse(t *testing.T) {
 	arb := New(a, 4)
 	for _, pid := range []int{0, 2, 3, 1} {
 		p := a.Port(pid, nil)
-		arb.Recover(p, Left)
 		arb.Enter(p, Left)
 		if h := arb.Holder(a); h != Left {
 			t.Fatalf("holder = %v, want left", h)
@@ -170,9 +170,8 @@ func TestArbitratorReentryAfterCSCrashDirect(t *testing.T) {
 	p := a.Port(0, nil)
 	arb.Enter(p, Right)
 	// Simulate a crash in the CS: private state is lost, the process
-	// re-runs Recover+Enter on the same side.
+	// re-runs Enter on the same side.
 	before := a.Ops(0)
-	arb.Recover(p, Right)
 	arb.Enter(p, Right)
 	if got := a.Ops(0) - before; got > 6 {
 		t.Fatalf("re-entry took %d ops, want bounded fast path", got)
@@ -212,7 +211,6 @@ func TestArbitratorBothSidesSequential(t *testing.T) {
 	p := a.Port(0, nil)
 	for i := 0; i < 3; i++ {
 		s := Side(i % 2)
-		arb.Recover(p, s)
 		arb.Enter(p, s)
 		arb.Exit(p, s)
 	}
@@ -244,24 +242,155 @@ func TestTwoProcessValidation(t *testing.T) {
 	NewTwoProcess(a, 3)
 }
 
-func TestArbitratorLeavingCleanupByNextEntrant(t *testing.T) {
-	// Simulate a crash between who:=0 and sstate:=idle in a previous
-	// occupant's exit: the next entrant of the side finishes the repair.
-	a := memory.NewArena(memory.CC, 2)
-	arb := New(a, 2)
-	p0 := a.Port(0, nil)
-	arb.Enter(p0, Left)
-	arb.Exit(p0, Left)
-	// Manually wind the side back into the "leaving, occupant cleared"
-	// state the crash would leave behind.
-	w := a.Port(0, nil)
-	w.Write(arb.sstate[Left], ssLeaving)
-	p1 := a.Port(1, nil)
-	arb.Enter(p1, Left) // must repair and acquire
-	if got := a.Peek(arb.sstate[Left]); got != ssInCS {
-		t.Fatalf("state after repair-enter = %d", got)
+// exitWindow drives the one window an Exit can leave behind: p0 holds
+// the lock, p1 is waiting on its spin word, and p0 crashes right after
+// its Exit's write, before its signal. It is both the run's scheduler and
+// its failure plan: p0 runs until it is in its CS, then p1 until it
+// spins, then p0 until the crash; after that both run in turn.
+//
+// With abort set, the plan also aborts p0's restarted passage at its
+// first instruction, and once p0 has backed out only p1 runs, for up to
+// soloSteps steps: p1 gets in then only if the back-out itself signalled
+// it, since p0's retry, which would signal it again, has not yet run.
+type exitWindow struct {
+	arb     *Arbitrator
+	rr      sim.RoundRobin
+	p0InCS  bool
+	p1Reads int // p1's reads of spin[1]; the second is inside its wait loop
+	p0Freed bool
+	fired   bool
+
+	abort        bool
+	aborted      bool
+	abortAttempt int
+	backedOut    bool // p0 has backed out and its retry has been picked
+	soloSteps    int  // steps p1 may still run alone after the back-out
+	p1SoloInCS   bool // p1 entered its CS while running alone
+}
+
+func (w *exitWindow) Pick(rng *rand.Rand, ready []int) int {
+	want := -1
+	switch {
+	case w.backedOut && w.soloSteps > 0:
+		want = 1
+	case w.aborted:
+	case w.fired && w.abort:
+		want = 0 // p0 restarts and is aborted at its first instruction
+	case w.fired:
+	case !w.p0InCS || w.p1Reads >= 2:
+		want = 0
+	default:
+		want = 1
 	}
-	arb.Exit(p1, Left)
+	for _, pid := range ready {
+		if pid == want {
+			if want == 1 && w.backedOut {
+				w.soloSteps--
+			}
+			return pid
+		}
+	}
+	return w.rr.Pick(rng, ready)
+}
+
+func (w *exitWindow) Observe(ctx sim.StepCtx) {
+	switch {
+	case ctx.PID == 0 && ctx.InCS:
+		w.p0InCS = true
+	case ctx.PID == 1 && ctx.InCS && w.backedOut && w.soloSteps > 0:
+		w.p1SoloInCS = true
+	case ctx.PID == 1 && ctx.Op.Kind == memory.OpRead && ctx.Op.Addr == w.arb.spin[1]:
+		w.p1Reads++
+	case ctx.PID == 0 && w.p0InCS && ctx.Op.Kind == memory.OpWrite && ctx.Op.Addr == w.arb.side[Left]:
+		w.p0Freed = true // the Exit's one write
+	}
+}
+
+// Crash fires at the signal's read of the rival's side, the instruction
+// after the Exit's write. It is consulted at every instruction granted,
+// so it also notes when p0's retry, the passage after the aborted one,
+// is picked.
+func (w *exitWindow) Crash(ctx sim.StepCtx) bool {
+	if w.aborted && ctx.PID == 0 && ctx.Attempt > w.abortAttempt && !w.backedOut {
+		w.backedOut = true
+		w.soloSteps = 1000
+	}
+	if w.fired || !w.p0Freed || ctx.PID != 0 || ctx.Op.Kind != memory.OpRead || ctx.Op.Addr != w.arb.side[Right] {
+		return false
+	}
+	w.fired = true
+	return true
+}
+
+// Abort fires, with abort set, at the first instruction of p0's
+// restarted passage.
+func (w *exitWindow) Abort(ctx sim.StepCtx) bool {
+	if !w.abort || !w.fired || w.aborted || ctx.PID != 0 {
+		return false
+	}
+	w.aborted = true
+	w.abortAttempt = ctx.Attempt
+	return true
+}
+
+// TestArbitratorExitCrashBeforeSignal: a side leaves InCS in one write,
+// so the only state a crashed Exit leaves is a lost wake-up. The retry's
+// doorway signals the rival again; without that signal both processes
+// wait for each other.
+func TestArbitratorExitCrashBeforeSignal(t *testing.T) {
+	for _, model := range []memory.Model{memory.CC, memory.DSM} {
+		w := &exitWindow{}
+		res := mustRun(t, sim.Config{N: 2, Model: model, Requests: 1, Sched: w, Plan: w, MaxSteps: 100_000},
+			func(sp memory.Space, n int) sim.Lock {
+				l := &sideLock{a: New(sp, n)}
+				w.arb = l.a
+				return l
+			})
+		if !w.fired || res.CrashCount() != 1 {
+			t.Fatalf("[%v] crash fired %v, %d crashes; want the one crash between Exit's write and its signal", model, w.fired, res.CrashCount())
+		}
+		if res.MaxCSOverlap != 1 {
+			t.Fatalf("[%v] ME violated: overlap %d", model, res.MaxCSOverlap)
+		}
+		if got := len(res.Requests); got != 2 {
+			t.Fatalf("[%v] %d requests satisfied, want 2", model, got)
+		}
+	}
+}
+
+// TestArbitratorAbortAfterExitCrashSignals: p0 crashes between its
+// Exit's write and its signal, and an abort lands on the first
+// instruction of its restarted passage, before the doorway that would
+// signal again. The back-out runs Exit on a side p0 no longer occupies;
+// that Exit must still signal, or p1 waits until p0 happens to retry. In
+// the SA-Lock p0's retry can wait on p1 in the filter, and then neither
+// ever runs again.
+func TestArbitratorAbortAfterExitCrashSignals(t *testing.T) {
+	for _, model := range []memory.Model{memory.CC, memory.DSM} {
+		w := &exitWindow{abort: true}
+		res := mustRun(t, sim.Config{N: 2, Model: model, Requests: 1, Sched: w, Plan: w, MaxSteps: 100_000},
+			func(sp memory.Space, n int) sim.Lock {
+				l := NewTwoProcess(sp, n)
+				w.arb = l.a
+				return l
+			})
+		if !w.fired || !w.aborted || !w.backedOut || res.CrashCount() != 1 || len(res.Aborts) != 1 {
+			t.Fatalf("[%v] crash %v, abort %v, backed out %v (%d crashes, %d aborts); want one crash in the Exit window and one abort at the restart",
+				model, w.fired, w.aborted, w.backedOut, res.CrashCount(), len(res.Aborts))
+		}
+		if at := res.Aborts[0].OpIndex; at != res.Crashes[0].OpIndex {
+			t.Fatalf("[%v] abort at instruction %d, want the restart's first, %d", model, at, res.Crashes[0].OpIndex)
+		}
+		if !w.p1SoloInCS {
+			t.Fatalf("[%v] p0's back-out did not wake p1: p1 ran alone for 1000 steps without entering its CS", model)
+		}
+		if res.MaxCSOverlap != 1 {
+			t.Fatalf("[%v] ME violated: overlap %d", model, res.MaxCSOverlap)
+		}
+		if got := len(res.Requests); got != 2 {
+			t.Fatalf("[%v] %d requests satisfied, want 2", model, got)
+		}
+	}
 }
 
 // lineHomes is a Space that records, for every cache line an allocation
@@ -279,11 +408,11 @@ func (l *lineHomes) Alloc(nwords, home int) memory.Addr {
 	return a
 }
 
-// TestArbitratorLayout: the seven shared words are consecutive, in the
-// order turn, then flag, who and sstate of each side, so the simulated
-// arena gives them the addresses it gave seven one-word allocations. In
-// a sized native arena they share one line that holds no other word, and
-// each spin[i] lies in process i's stripe.
+// TestArbitratorLayout: the three shared words are consecutive, in the
+// order turn, then each side's word, so the simulated arena gives them
+// the addresses it gave three one-word allocations. In a sized native
+// arena they share one line that holds no other word, and each spin[i]
+// lies in process i's stripe.
 func TestArbitratorLayout(t *testing.T) {
 	const n, arbs = 8, 3
 	build := func(sp memory.Space) []*Arbitrator {
@@ -293,11 +422,15 @@ func TestArbitratorLayout(t *testing.T) {
 		}
 		return as
 	}
+	// One allocation of exactly three words: the first spin word follows.
+	if a := New(memory.NewArena(memory.CC, n), n); a.spin[0] != a.turn+3 {
+		t.Fatalf("shared allocation is %d words, want 3", a.spin[0]-a.turn)
+	}
 	sizer := memory.NewNativeSizer(n, true)
 	build(sizer)
 	sp := &lineHomes{Space: memory.NewNativeArena(n, sizer.Words()), homes: map[memory.Addr][]int{}}
 	for k, a := range build(sp) {
-		shared := []memory.Addr{a.turn, a.flag[0], a.who[0], a.sstate[0], a.flag[1], a.who[1], a.sstate[1]}
+		shared := []memory.Addr{a.turn, a.side[Left], a.side[Right]}
 		for j, w := range shared {
 			if w != a.turn+memory.Addr(j) {
 				t.Errorf("arbitrator %d: shared word %d at %d, want %d", k, j, w, a.turn+memory.Addr(j))

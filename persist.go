@@ -25,18 +25,20 @@ import (
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image.
 
-// snapMagic identifies the snapshot format. RMESNAP4 is the padded arena
-// layout with each arbitrator's shared words on one cache line and one
-// ring of 2n queue nodes per process and level. Streams of an older
+// snapMagic identifies the snapshot format. RMESNAP5 is the padded arena
+// layout with each arbitrator's three shared words (turn and one word
+// per side) on one cache line, one ring of 2n queue nodes per process
+// and level, and no WR-Lock Initializing state. Streams of an older
 // layout are refused rather than silently misinterpreted, since word
-// addresses moved when the layout changed: see oldSnapLayouts.
-const snapMagic = "RMESNAP4"
+// addresses or state values changed with the layout: see oldSnapLayouts.
+const snapMagic = "RMESNAP5"
 
 // oldSnapLayouts names the layout each refused magic recorded.
 var oldSnapLayouts = map[string]string{
 	"RMESNAP1": "the dense arena layout",
 	"RMESNAP2": "the padded layout with a cache line per arbitrator word",
 	"RMESNAP3": "the double-pool layout with two halves of 2n queue nodes per process and level",
+	"RMESNAP4": "the seven-word arbitrator and the WR-Lock's Initializing state",
 }
 
 // snapTable is the CRC-64 polynomial for the integrity footer appended to

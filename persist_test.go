@@ -123,11 +123,12 @@ func TestSnapshotRoundTripPreservesOptions(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatStable pins the RMESNAP4 header — magic, then n,
+// TestSnapshotFormatStable pins the RMESNAP5 header — magic, then n,
 // base, levels, word 4 and the body length — and checks that a stream
 // whose word 4 is non-zero still restores: the word is reserved. The
-// same stream under the RMESNAP3 magic is refused, its length and
-// checksum notwithstanding: the magic alone names the layout.
+// same stream under the RMESNAP3 or RMESNAP4 magic is refused, its
+// length and checksum notwithstanding: the magic alone names the layout
+// (an RMESNAP4 stream has this very footprint).
 func TestSnapshotFormatStable(t *testing.T) {
 	m, err := New(3)
 	if err != nil {
@@ -138,8 +139,8 @@ func TestSnapshotFormatStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	if got := string(snap[:8]); got != "RMESNAP4" {
-		t.Fatalf("magic %q, want RMESNAP4", got)
+	if got := string(snap[:8]); got != "RMESNAP5" {
+		t.Fatalf("magic %q, want RMESNAP5", got)
 	}
 	want := []uint64{3, uint64(BaseTournament), uint64(core.DefaultLevels(3)), 0, uint64(m.Footprint())}
 	for i, w := range want {
@@ -165,10 +166,12 @@ func TestSnapshotFormatStable(t *testing.T) {
 		t.Fatal("passage failed after restore")
 	}
 
-	old := append([]byte("RMESNAP3"), snap[8:end]...)
-	old = binary.LittleEndian.AppendUint64(old, crc64.Checksum(old, snapTable))
-	if _, err := Restore(bytes.NewReader(old), nil); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "double-pool") {
-		t.Fatalf("stream relabelled RMESNAP3: err = %v, want ErrBadSnapshot naming the double-pool layout", err)
+	for magic, layout := range map[string]string{"RMESNAP3": "double-pool", "RMESNAP4": "Initializing"} {
+		old := append([]byte(magic), snap[8:end]...)
+		old = binary.LittleEndian.AppendUint64(old, crc64.Checksum(old, snapTable))
+		if _, err := Restore(bytes.NewReader(old), nil); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), layout) {
+			t.Fatalf("stream relabelled %s: err = %v, want ErrBadSnapshot naming %q", magic, err, layout)
+		}
 	}
 }
 
@@ -280,14 +283,17 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"empty":     "",
 		"bad magic": "NOTASNAPxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
 		// The dense-layout v1 format is a different physical layout;
-		// restoring it as v4 would scatter words, so it must be refused.
+		// restoring it as v5 would scatter words, so it must be refused.
 		"RMESNAP1": "RMESNAP1" + strings.Repeat("\x01\x00\x00\x00\x00\x00\x00\x00", 5),
 		// The n = 8 lock of the v2 layout, which gave each arbitrator
 		// word a line of its own: 2728 words with a valid checksum.
 		"RMESNAP2": string(snapStream("RMESNAP2", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 2728}, 2728)),
 		// The n = 8 lock of the v3 layout, whose §7.2 pools kept two
 		// halves of 2n nodes per process: 2248 words.
-		"RMESNAP3":  string(snapStream("RMESNAP3", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 2248}, 2248)),
+		"RMESNAP3": string(snapStream("RMESNAP3", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 2248}, 2248)),
+		// The n = 8 lock of the v4 layout: the same 1352 words, but a
+		// seven-word arbitrator and a WR-Lock Initializing state.
+		"RMESNAP4":  string(snapStream("RMESNAP4", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 1352}, 1352)),
 		"truncated": snapMagic + "\x01\x00\x00\x00\x00\x00\x00\x00",
 		"n=0":       string(snapStream(snapMagic, [5]uint64{0, 1, 1, 0, 10}, 10)),
 	}

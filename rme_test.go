@@ -277,7 +277,7 @@ func TestFootprintBoundedWithReclamation(t *testing.T) {
 
 // TestLayoutFootprints pins the native layout's sizes: a Mutex's
 // footprint and a Map region's size, in words, for both bases. Each
-// arbitrator's seven shared words fill one cache line. Every footprint
+// arbitrator's three shared words fill one cache line. Every footprint
 // also clears the 4n² floor Restore holds a snapshot's length to, since
 // the node rings alone take n(5n+1) words per level.
 func TestLayoutFootprints(t *testing.T) {
