@@ -135,9 +135,9 @@ var experiments = []experiment{
 	{"reclaim", "Section 7.2: bounded space via reclamation", func(o options) error {
 		return show(o, bench.Reclaim(o.opts))
 	}},
-	{"metrics", "exact CC-model RMR and level distributions on the native backend, swept over workers and failures F (BENCH_metrics.json)", report(bench.PassageMetrics)},
+	{"metrics", "exact CC-model RMR and level distributions on the lockstep simulator, swept over workers and failures F (BENCH_metrics.json)", report(bench.PassageMetrics)},
 	{"tracing", "flight-recorder overhead A/B: absent vs disabled vs recording (BENCH_tracing.json; -check bounds off at 5%)", report(bench.Tracing)},
-	{"abort", "abortable passages: failure-free and back-out RMRs at abort rates 0/1%/10% (BENCH_abort.json)", report(bench.AbortCost)},
+	{"abort", "abortable passages on the lockstep simulator: failure-free and back-out RMRs at abort rates 0/0.1%/1% (BENCH_abort.json)", report(bench.AbortCost)},
 	{"map", "keyed lock manager (rme.Map): RMRs under hot-key, Zipf and churn regimes (BENCH_map.json)", report(bench.MapCost)},
 	{"des", "virtual-time discrete-event traffic: rate ramp to collapse, crash storms vs uniform, Zipf keyspaces, stragglers (BENCH_des.json)", report(bench.DESTraffic)},
 }
@@ -220,7 +220,6 @@ func parseOptions(fs *flag.FlagSet, args []string, out io.Writer) (options, erro
 		passages = fs.Int("passages", 20000, "tracing: passages per rep")
 		reps     = fs.Int("reps", 3, "tracing: reps per measurement (median kept)")
 		mpass    = fs.Int("mpassages", 5000, "metrics/abort/map: passages per measurement")
-		mfail    = fs.String("mfailures", "1,2,4,8,16,32", "metrics: comma-separated injected failure budgets F")
 		churnkey = fs.Int("churnkeys", 2048, "map: distinct keys in the churn mode")
 		desreq   = fs.Int("desrequests", 60, "des: satisfied requests per process per run")
 		desrates = fs.String("desrates", "", "des: comma-separated arrival-rate ramp (req/s per process; default 2k,10k,50k,200k,1M)")
@@ -237,7 +236,6 @@ func parseOptions(fs *flag.FlagSet, args []string, out io.Writer) (options, erro
 		ropts: bench.ReportOpts{
 			Workers:       *workers,
 			Passages:      *mpass,
-			Failures:      list("mfailures", *mfail, strconv.Atoi),
 			ChurnKeys:     *churnkey,
 			TimedPassages: *passages,
 			Reps:          *reps,

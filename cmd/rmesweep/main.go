@@ -7,12 +7,12 @@
 // instrumented pass records every process's instruction stream, then one
 // run per enumerated placement — every (pid, instruction-index) boundary up
 // to a horizon, the rendezvous immediately after each RMW (the sensitive
-// window of Definition 3.3/3.4), and optionally pairs of after-RMW crashes
-// for the F ≥ 2 escalation paths — re-executes the workload with exactly
-// that crash set. With -aborts it also sweeps abort placements: an abort
-// delivery at every boundary, an abort after each RMW, and abort×crash
-// pairs that crash the process while it is running the back-out protocol
-// itself. The sweep is the mechanical proof-obligation runner for each
+// window of Definition 3.3/3.4), and optionally every pair of after-RMW
+// crashes for the F ≥ 2 escalation paths — re-executes the workload with
+// exactly that crash set. With -aborts it also sweeps abort placements: an
+// abort delivery at every boundary, an abort after each RMW, and, after
+// each RMW, abort×crash pairs that crash the process while it is running
+// the back-out protocol itself. The sweep is the mechanical proof-obligation runner for each
 // recoverable layer: it visits every single-crash placement exhaustively.
 //
 // With -random N it samples adversaries from seeds [0, N) instead: the
@@ -68,22 +68,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rmesweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		locks         = fs.String("locks", "", "comma-separated locks to sweep or soak (default every registry lock; see rmesim -list)")
-		n             = fs.Int("n", 4, "number of processes")
-		requests      = fs.Int("requests", 2, "satisfied requests per process")
-		out           = fs.String("out", ".", "directory for repro artifacts and flight post-mortems")
-		random        = fs.Int("random", 0, "sample adversaries from seeds [0, N) instead of sweeping placements (0 = sweep)")
-		desMode       = fs.Bool("des", false, "with -random: soak the virtual-time discrete-event simulator instead of the lockstep campaign")
-		timeout       = fs.Duration("timeout", 0, "with -random: wall-clock watchdog for the lockstep campaign (0 = off)")
-		model         = fs.String("model", "both", "sweep memory model: cc, dsm or both")
-		seed          = fs.Int64("seed", 1, "scheduler seed for every placement run")
-		csops         = fs.Int("csops", 2, "critical-section length in instructions of a placement run")
-		horizon       = fs.Int64("horizon", 0, "per-process instruction horizon for boundary placements (0 = full stream)")
-		pairs         = fs.Bool("pairs", false, "add two-crash placements for the F≥2 escalation paths")
-		maxPairs      = fs.Int("maxpairs", 64, "cap on two-crash placements")
-		aborts        = fs.Bool("aborts", false, "add abort placements (every boundary, after each RMW, abort×crash pairs)")
-		maxAbortPairs = fs.Int("maxabortpairs", 64, "cap on abort×crash pair placements")
-		verbose       = fs.Bool("v", false, "print per-placement progress")
+		locks    = fs.String("locks", "", "comma-separated locks to sweep or soak (default every registry lock; see rmesim -list)")
+		n        = fs.Int("n", 4, "number of processes")
+		requests = fs.Int("requests", 2, "satisfied requests per process")
+		out      = fs.String("out", ".", "directory for repro artifacts and flight post-mortems")
+		random   = fs.Int("random", 0, "sample adversaries from seeds [0, N) instead of sweeping placements (0 = sweep)")
+		desMode  = fs.Bool("des", false, "with -random: soak the virtual-time discrete-event simulator instead of the lockstep campaign")
+		timeout  = fs.Duration("timeout", 0, "with -random: wall-clock watchdog for the lockstep campaign (0 = off)")
+		model    = fs.String("model", "both", "sweep memory model: cc, dsm or both")
+		seed     = fs.Int64("seed", 1, "scheduler seed for every placement run")
+		csops    = fs.Int("csops", 2, "critical-section length in instructions of a placement run")
+		horizon  = fs.Int64("horizon", 0, "per-process instruction horizon for boundary placements (0 = full stream)")
+		pairs    = fs.Bool("pairs", false, "add a two-crash placement for every pair of after-RMW points (the F≥2 escalation paths)")
+		aborts   = fs.Bool("aborts", false, "add abort placements (every boundary, after each RMW, abort×crash pairs)")
+		verbose  = fs.Bool("v", false, "print per-placement progress")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -135,8 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	violations, err := sweep(specs, models, sweepOpts{
 		n: *n, requests: *requests, seed: *seed, csops: *csops,
-		horizon: *horizon, pairs: *pairs, maxPairs: *maxPairs,
-		aborts: *aborts, maxAbortPairs: *maxAbortPairs,
+		horizon: *horizon, pairs: *pairs, aborts: *aborts,
 		outDir: *out, verbose: *verbose, stdout: stdout,
 	})
 	if err != nil {
@@ -209,10 +206,7 @@ type sweepOpts struct {
 	n, requests, csops int
 	seed               int64
 	horizon            int64
-	pairs              bool
-	maxPairs           int
-	aborts             bool
-	maxAbortPairs      int
+	pairs, aborts      bool
 	outDir             string
 	verbose            bool
 	stdout             io.Writer
@@ -255,11 +249,9 @@ func sweepOne(spec workload.Spec, mdl memory.Model, o sweepOpts) (placements, vi
 	sc := sim.SweepConfig{
 		Config: sim.Config{N: o.n, Model: mdl, Requests: o.requests,
 			Seed: o.seed, CSOps: o.csops, MaxSteps: 10_000_000},
-		Horizon:       o.horizon,
-		Pairs:         o.pairs,
-		MaxPairs:      o.maxPairs,
-		Aborts:        aborts,
-		MaxAbortPairs: o.maxAbortPairs,
+		Horizon: o.horizon,
+		Pairs:   o.pairs,
+		Aborts:  aborts,
 	}
 	plan, err := sim.PlanSweep(sc, spec.New)
 	if err != nil {
@@ -295,7 +287,7 @@ func sweepOne(spec workload.Spec, mdl memory.Model, o sweepOpts) (placements, vi
 	}
 	pairs := ""
 	if o.pairs {
-		pairs = fmt.Sprintf(", %d of %d crash pairs", plan.PairsTried, plan.PairsTotal)
+		pairs = fmt.Sprintf(", %d crash pairs", plan.CrashPairs)
 	}
 	fmt.Fprintf(o.stdout, "%-10s %v: %d placements (%d abort, %d instructions traced%s), %d violations\n",
 		spec.Name, mdl, len(plan.Placements), nAborts, traced(plan), pairs, violations)

@@ -62,10 +62,10 @@ func TestRandomCampaigns(t *testing.T) {
 // TestPlantedViolation holds the weakly recoverable wr lock to the strong
 // battery. A process crashing right after the filter's FAS can put two
 // processes in the critical section, which Definition 3.2 allows a weak
-// lock and no strong one: the sweep must report it, exit 1 and write an
-// artifact that replays the same violation. At seed 1 no single crash
-// violates, so the sweep also tries crash pairs, at the default cap of
-// 64; exactly one of them violates.
+// lock and no strong one: the sweep must report it, exit 1 and write one
+// artifact per violation that replays the same violation. At seed 1 no
+// single crash violates, so the sweep also tries every crash pair;
+// exactly three of them violate.
 func TestPlantedViolation(t *testing.T) {
 	planted, err := workload.Lookup("wr")
 	if err != nil {
@@ -75,29 +75,31 @@ func TestPlantedViolation(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	violations, err := sweep([]workload.Spec{planted}, []memory.Model{memory.CC}, sweepOpts{
-		n: 4, requests: 2, seed: 1, csops: 2, pairs: true, maxPairs: 64,
+		n: 4, requests: 2, seed: 1, csops: 2, pairs: true,
 		outDir: dir, stdout: &out,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := status(violations); code != 1 {
-		t.Fatalf("exit %d, want 1; output:\n%s", code, out.String())
+	if code := status(violations); code != 1 || violations != 3 {
+		t.Fatalf("exit %d with %d violations, want 1 with 3; output:\n%s", code, violations, out.String())
 	}
 	files := artifacts(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("artifacts %v, want one; output:\n%s", files, out.String())
+	if len(files) != violations {
+		t.Fatalf("artifacts %v, want one per violation; output:\n%s", files, out.String())
 	}
-	art, err := repro.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := repro.Replay(art, planted.New)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Reproduced(art) || art.Property != check.PropMutualExclusion {
-		t.Fatalf("artifact records %q, replay observed %q", art.Property, rr.Property)
+	for _, file := range files {
+		art, err := repro.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := repro.Replay(art, planted.New)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rr.Reproduced(art) || art.Property != check.PropMutualExclusion {
+			t.Fatalf("%s: artifact records %q, replay observed %q", file, art.Property, rr.Property)
+		}
 	}
 }
 

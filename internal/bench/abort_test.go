@@ -3,10 +3,12 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"rme/internal/sim"
 )
 
-// TestAbortCostSweepShape checks the sweep structure on tiny real runs:
-// every native lock is measured at every abort rate, in order.
+// TestAbortCostSweepShape checks the sweep structure on tiny runs: every
+// shipped lock is measured at every abort rate, in order.
 func TestAbortCostSweepShape(t *testing.T) {
 	rep, err := AbortCost(ReportOpts{Workers: 4, Passages: 80})
 	if err != nil {
@@ -30,29 +32,28 @@ func TestAbortCostSweepShape(t *testing.T) {
 	if _, err := rep.JSON(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep.Table().String(), "Abortable passages") {
-		t.Fatal("table missing title")
+	tb := rep.Table().String()
+	if !strings.Contains(tb, "Abortable passages") || !strings.Contains(tb, " 0.001 ") {
+		t.Fatalf("table missing its title or a rate:\n%s", tb)
 	}
 }
 
-// TestAbortRunReal runs a tiny real measurement end to end at a high
-// rate with contention: the row must satisfy the attempts identity and
-// complete exactly the passage target.
+// TestAbortRunReal runs a small measurement end to end at a high rate
+// with contention: the row must deliver aborts, satisfy the attempts
+// identity and complete exactly the passage target.
 func TestAbortRunReal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real abort measurement; skipped with -short")
-	}
-	row, err := abortRow(nil, 4, 400, 0.5)
+	row, err := simRow("ba-log", 4, 400, func(int) sim.FailurePlan { return &sim.RandomAborts{Rate: 0.05} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Attempts != row.Passages+row.Aborted {
-		t.Fatalf("attempts=%d != passages=%d + aborted=%d", row.Attempts, row.Passages, row.Aborted)
+	if row.Aborted == 0 || row.Attempts != row.Passages+row.Aborted {
+		t.Fatalf("attempts=%d, passages=%d, aborted=%d: want aborts and attempts == passages + aborted",
+			row.Attempts, row.Passages, row.Aborted)
 	}
 	if row.Passages != 400 {
 		t.Fatalf("completed %d passages, want 400", row.Passages)
 	}
-	if row.Crashes != 0 {
-		t.Fatalf("abort run recorded %d crashes", row.Crashes)
+	if row.Crashes != 0 || row.Recoveries != 0 {
+		t.Fatalf("abort run recorded %d crashes, %d recoveries", row.Crashes, row.Recoveries)
 	}
 }

@@ -108,8 +108,7 @@ func Escalation(o Opts) *Table {
 			t.Add(f, "ERR", "-", "-")
 			continue
 		}
-		// x(x-1)/2 ≤ F  ⇒  x ≤ (1+√(1+8F))/2.
-		bound := int(math.Floor((1 + math.Sqrt(1+8*float64(f))) / 2))
+		bound := depthBound(f)
 		holds := "yes"
 		if m.MaxDepth > bound {
 			holds = "NO"
@@ -117,6 +116,13 @@ func Escalation(o Opts) *Table {
 		t.Add(f, m.MaxDepth, bound, holds)
 	}
 	return t
+}
+
+// depthBound is Theorem 5.17's bound on the deepest level F unsafe
+// failures can drive a passage to: reaching level x takes at least
+// x(x-1)/2 of them, so x ≤ ⌊(1+√(1+8F))/2⌋.
+func depthBound(f int) int {
+	return int(math.Floor((1 + math.Sqrt(1+8*float64(f))) / 2))
 }
 
 // Batch regenerates the Section 7.1 analysis: a single batch failure of k

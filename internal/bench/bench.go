@@ -48,13 +48,23 @@ type Metrics struct {
 	CheckErr error
 }
 
-// Run executes one measurement point and validates the lock's contract
-// (ME for strong locks, responsiveness for weak ones). Validation
-// failures are reported in Metrics.CheckErr, not as a run error.
-func Run(pt Point) (Metrics, error) {
+// checkedRun is one simulator run of a Point: the lock, its history and
+// the verdict of the lock's property battery on that history.
+type checkedRun struct {
+	spec    workload.Spec
+	res     *sim.Result
+	verdict error
+}
+
+// simulate runs pt on the simulator and checks the history with the
+// lock's property battery (ME for strong locks, responsiveness for weak
+// ones): the one run behind Run and simRow. It errs when the lock is
+// unknown or the run cannot finish; the battery's verdict comes back in
+// the checkedRun.
+func simulate(pt Point) (checkedRun, error) {
 	spec, err := workload.Lookup(pt.Lock)
 	if err != nil {
-		return Metrics{}, err
+		return checkedRun{}, err
 	}
 	cfg := sim.Config{
 		N:         pt.N,
@@ -73,12 +83,24 @@ func Run(pt Point) (Metrics, error) {
 	}
 	r, err := sim.New(cfg, spec.New)
 	if err != nil {
-		return Metrics{}, err
+		return checkedRun{}, err
 	}
 	res, err := r.Run()
 	if err != nil {
-		return Metrics{}, fmt.Errorf("bench: %s n=%d %v seed=%d: %w", pt.Lock, pt.N, pt.Model, pt.Seed, err)
+		return checkedRun{}, fmt.Errorf("bench: %s n=%d %v seed=%d: %w", pt.Lock, pt.N, pt.Model, pt.Seed, err)
 	}
+	return checkedRun{spec: spec, res: res, verdict: spec.Check(res)}, nil
+}
+
+// Run executes one measurement point and validates the lock's contract.
+// Validation failures are reported in Metrics.CheckErr, not as a run
+// error.
+func Run(pt Point) (Metrics, error) {
+	run, err := simulate(pt)
+	if err != nil {
+		return Metrics{}, err
+	}
+	res, spec := run.res, run.spec
 
 	ff := res.SummarizePassageRMRs(func(p sim.PassageStat) bool { return !p.Crashed })
 	all := res.SummarizePassageRMRs(nil)
@@ -109,7 +131,7 @@ func Run(pt Point) (Metrics, error) {
 	if pt.RecordOps && spec.Levels != nil {
 		m.MaxDepth = check.MaxDepth(res, spec.SlowLabels(pt.N))
 	}
-	m.CheckErr = spec.Check(res)
+	m.CheckErr = run.verdict
 	return m, nil
 }
 

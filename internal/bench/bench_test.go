@@ -108,12 +108,36 @@ func TestFitSqrt(t *testing.T) {
 	}
 }
 
+// TestFigure1Output: the figure draws the queue and its summary agrees
+// with the largest sub-queue count drawn, at seed 21 (one chain) and at
+// seeds that draw fragmentation.
 func TestFigure1Output(t *testing.T) {
-	out := Figure1(21)
-	for _, want := range []string{"Figure 1", "sub-queue", "head →", "starvation freedom"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Figure1 output missing %q:\n%s", want, out)
+	drawn := regexp.MustCompile(`: (\d+) sub-queue\(s\)`)
+	fragmented := 0
+	for _, seed := range []int64{21, 1, 2, 3, 4, 5, 6, 7, 8} {
+		out := Figure1(seed)
+		for _, want := range []string{"Figure 1", "sub-queue", "head →", "starvation freedom"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("seed %d: Figure1 output missing %q:\n%s", seed, want, out)
+			}
 		}
+		most := 0
+		for _, m := range drawn.FindAllStringSubmatch(out, -1) {
+			if q, _ := strconv.Atoi(m[1]); q > most {
+				most = q
+			}
+		}
+		want := "no drawn moment showed two sub-queues"
+		if most >= 2 {
+			want = "despite fragmentation"
+			fragmented++
+		}
+		if !strings.Contains(out, want) || strings.Contains(out, "despite fragmentation") != (most >= 2) {
+			t.Errorf("seed %d: drew at most %d sub-queue(s), summary should say %q:\n%s", seed, most, want, out)
+		}
+	}
+	if fragmented == 0 {
+		t.Error("no seed drew fragmentation; the despite-fragmentation summary went untested")
 	}
 }
 

@@ -10,17 +10,11 @@ import (
 )
 
 // soloRMRs is the exact median cost, in CC-model RMRs, of a failure-free
-// passage by one uncontended process on either native lock. Alone, a
+// passage by one uncontended process on either shipped lock. Alone, a
 // passage is one fixed instruction sequence, so the median does not
-// depend on the passage count or the machine, and the DES anchor rows
-// simulate the same recipe.
+// depend on the passage count, the seed or the backend, and the DES
+// anchor rows simulate the same recipe.
 const soloRMRs = 19
-
-// rmrBudget bounds failure-free medians where native scheduling varies
-// (workers > 1). Single-core medians sit at 19; the headroom is for
-// multi-core contention, while an O(1)-complexity regression shows up as
-// hundreds of RMRs.
-const rmrBudget = 80
 
 // A gate is one named assertion over a report, returning one detail per
 // violation. A gate with a ref reads that experiment's report too, and is
@@ -38,14 +32,15 @@ var gates = map[string][]gate{
 		every("ff-solo-exact", fmt.Sprintf("rmr_median == %d", soloRMRs), false,
 			func(r Row) bool { return r.Failures == 0 && r.Workers == 1 },
 			func(r Row) bool { return r.RMRMedian == soloRMRs }),
-		every("ff-budget", fmt.Sprintf("rmr_median <= %d", rmrBudget), false,
-			func(r Row) bool { return r.Failures == 0 && r.Workers > 1 },
-			func(r Row) bool { return r.RMRMedian <= rmrBudget }),
-		every("ff-level", "F=0 rows, with max_level == 1", true,
-			func(r Row) bool { return r.Failures == 0 },
-			func(r Row) bool { return r.MaxLevel == 1 }),
+		// Theorem 5.17: reaching level x takes x(x-1)/2 unsafe failures;
+		// at F = 0 no passage leaves level 1.
+		every("depth-bound", "max_level <= ⌊(1+√(1+8F))/2⌋", false, nil,
+			func(r Row) bool { return r.MaxLevel <= depthBound(r.Failures) }),
 		every("path-accounting", "fast_path + slow_path == passages", false, nil,
 			func(r Row) bool { return r.FastPath+r.SlowPath == r.Passages }),
+		// Every crashed process restarts, and its next passage recovers.
+		every("recovery-accounting", "recoveries == crashes", false, nil,
+			func(r Row) bool { return r.Recoveries == r.Crashes }),
 	},
 	"abort": {
 		every("sane", "workers > 0, rate >= 0, rmr_median > 0", false, nil,
@@ -55,12 +50,9 @@ var gates = map[string][]gate{
 		every("rate0-no-aborts", "rate-0 rows, with aborted == 0", true,
 			func(r Row) bool { return r.Rate == 0 },
 			func(r Row) bool { return r.Aborted == 0 }),
-		every("rate0-budget", fmt.Sprintf("rmr_median <= %d", rmrBudget), false,
-			func(r Row) bool { return r.Rate == 0 },
-			func(r Row) bool { return r.RMRMedian <= rmrBudget }),
-		every("backout-budget", fmt.Sprintf("abort_rmr_median <= %d", rmrBudget), false,
-			func(r Row) bool { return r.Aborted > 0 },
-			func(r Row) bool { return r.AbortRMRMedian <= rmrBudget }),
+		every("abort-delivery", "rate > 0 rows, with aborted > 0", true,
+			func(r Row) bool { return r.Rate > 0 },
+			func(r Row) bool { return r.Aborted > 0 }),
 	},
 	"map": {
 		every("hot-rows", "hot rows", true, func(r Row) bool { return r.Mode == "hot" }, nil),

@@ -23,17 +23,17 @@ func TestCheckRepoReports(t *testing.T) {
 // mutations breaks each gate, keyed "experiment/gate", by changing the
 // checked-in report of that experiment; each must trip its gate.
 var mutations = map[string]func(r *Report){
-	"metrics/rows":            func(r *Report) { r.Results = nil },
-	"metrics/ff-solo-exact":   func(r *Report) { r.Results[0].RMRMedian = soloRMRs - 1 },
-	"metrics/ff-budget":       func(r *Report) { r.Results[1].RMRMedian = rmrBudget + 1 },
-	"metrics/ff-level":        func(r *Report) { r.Results[1].MaxLevel = 2 },
-	"metrics/path-accounting": func(r *Report) { r.Results[4].FastPath++ },
+	"metrics/rows":          func(r *Report) { r.Results = nil },
+	"metrics/ff-solo-exact": func(r *Report) { r.Results[0].RMRMedian = soloRMRs - 1 },
+	// Row 1 is F = 0, row 5 F = 2 (bound 2).
+	"metrics/depth-bound":         func(r *Report) { r.Results[1].MaxLevel, r.Results[5].MaxLevel = 2, 3 },
+	"metrics/path-accounting":     func(r *Report) { r.Results[4].FastPath++ },
+	"metrics/recovery-accounting": func(r *Report) { r.Results[4].Recoveries = 0 },
 
 	"abort/sane":               func(r *Report) { r.Results[1].RMRMedian = 0 },
 	"abort/attempt-accounting": func(r *Report) { r.Results[2].Attempts++ },
 	"abort/rate0-no-aborts":    func(r *Report) { r.Results[0].Aborted = 1 },
-	"abort/rate0-budget":       func(r *Report) { r.Results[0].RMRMedian = rmrBudget + 1 },
-	"abort/backout-budget":     func(r *Report) { r.Results[2].AbortRMRMedian = rmrBudget + 1 },
+	"abort/abort-delivery":     func(r *Report) { r.Results[1].Aborted = 0 },
 
 	"map/hot-rows": func(r *Report) {
 		for i := range r.Results {

@@ -15,7 +15,7 @@ import (
 // seed reproduces the report bit for bit — so BENCH_des.json is checked
 // in, CI regenerates and diffs it, and Check asserts its invariants
 // (monotone percentiles, delivered crashes and aborts, and the low-rate
-// anchor costing exactly the native failure-free median).
+// anchor costing exactly a lone failure-free passage).
 
 // DESTraffic runs the full trajectory and assembles the report.
 func DESTraffic(o ReportOpts) (*Report, error) {
@@ -40,8 +40,9 @@ func desTraffic(o ReportOpts, run func(des.Config) (*des.Result, error)) (*Repor
 			cfg    des.Config
 		}
 		// Anchor: one process at the lowest ramp rate. Uncontended virtual
-		// traffic must reproduce the native failure-free RMR median
-		// (BENCH_metrics.json workers=1 F=0), which Check pins exactly.
+		// traffic must reproduce the failure-free RMR median of a lone
+		// passage (BENCH_metrics.json workers=1 F=0), which Check pins
+		// exactly.
 		anchor := at(des.Poisson, rates[0])
 		anchor.N = 1
 		points := []point{{"anchor", anchor}}

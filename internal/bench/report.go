@@ -17,9 +17,11 @@ import (
 
 // The report experiments — metrics, abort, map, tracing and des — emit
 // one document shape, archived as BENCH_<experiment>.json (see
-// EXPERIMENTS.md) and validated by Check. The four native ones share one
-// fan-out: drive releases the workers from a start barrier and runs an
-// exact passage count.
+// EXPERIMENTS.md) and validated by Check. Metrics and abort run the
+// lockstep simulator (simRow) and des the discrete-event simulator, so
+// those three regenerate byte for byte; the two native ones, map and
+// tracing, share one fan-out: drive releases the workers from a start
+// barrier and runs an exact passage count.
 
 // ReportOpts sizes the report experiments. Zero fields select defaults.
 type ReportOpts struct {
@@ -27,11 +29,9 @@ type ReportOpts struct {
 	// 1, 2, 4, ... up to it; the other experiments run at it (default 8).
 	Workers int
 	// Passages is the completed-passage count of each metrics, abort and
-	// map measurement (default 5000).
+	// map measurement (default 5000). The simulated metrics and abort
+	// rows split it evenly over their workers.
 	Passages int
-	// Failures lists the metrics failure budgets F (default 1, 2, 4, 8,
-	// 16, 32; F = 0 is covered by the worker sweep).
-	Failures []int
 	// ChurnKeys is the number of distinct keys the map churn mode
 	// touches, one passage each (default 2048).
 	ChurnKeys int
@@ -69,9 +69,6 @@ func (o *ReportOpts) fill() {
 	def(&o.DESRequests, 60)
 	def(&o.DESKeys, 16)
 	def(&o.DESCrashes, 24)
-	if o.Failures == nil {
-		o.Failures = []int{1, 2, 4, 8, 16, 32}
-	}
 	if o.DESSeed == 0 {
 		o.DESSeed = 1
 	}
@@ -81,8 +78,9 @@ func (o *ReportOpts) fill() {
 }
 
 // Report is one BENCH_*.json document. Fields a schema does not use are
-// zero and omitted; the des report records no toolchain or machine,
-// because virtual time depends on neither.
+// zero and omitted; the simulated reports (metrics, abort, des) record
+// their seed and no toolchain or machine, because their numbers depend
+// on neither.
 type Report struct {
 	Schema     string `json:"schema"` // "rme-bench-<experiment>/v1"
 	GoVersion  string `json:"go_version,omitempty"`
@@ -99,12 +97,12 @@ type Report struct {
 // whose reports carry the field; a report encodes exactly those fields,
 // in declaration order, so every schema keeps its field set and order.
 type Row struct {
-	Lock            string   `json:"lock" bench:"metrics,abort,map,des"` // native lock ("ba-log", "ba-sublog")
+	Lock            string   `json:"lock" bench:"metrics,abort,map,des"` // shipped lock ("ba-log", "ba-sublog")
 	Mode            string   `json:"mode" bench:"map,tracing"`           // map: hot | zipf | churn; tracing: none | off | on
 	Regime          string   `json:"regime" bench:"des"`                 // anchor | ramp | crash-uniform | crash-storm | zipf | abort | straggler
 	Workers         int      `json:"workers" bench:"metrics,abort,map,des,tracing"`
 	Failures        int      `json:"failures" bench:"metrics,des"` // injected failure budget F
-	Rate            float64  `json:"rate" bench:"abort"`           // fraction of attempts under a deadline
+	Rate            float64  `json:"rate" bench:"abort"`           // abort probability before each waiting instruction
 	RatePerSec      float64  `json:"rate_per_sec" bench:"des"`
 	Requests        int      `json:"requests_per_proc" bench:"des"`
 	Keys            int      `json:"keys" bench:"map,des"` // key-space size offered to workers
@@ -201,22 +199,22 @@ var tables = map[string]struct {
 	title       string
 	cols, notes []string
 }{
-	"metrics": {"Passage metrics, exact CC RMRs",
+	"metrics": {"Passage metrics, exact CC RMRs on the lockstep simulator",
 		[]string{"lock", "workers", "failures", "passages", "crashes", "rmr_median", "rmr_p99", "fast_path", "slow_path", "max_level"},
 		[]string{
 			"failures: unsafe failures F (crash immediately after a sensitive filter FAS) spread through the run",
-			"expect: median flat in workers at F=0; growing sublinearly in F (the √F adaptivity bound)",
+			"expect: median flat in workers at F=0; max_level within Thm 5.17's ⌊(1+√(1+8F))/2⌋",
 		}},
-	"abort": {"Abortable passages, exact CC RMRs",
+	"abort": {"Abortable passages, exact CC RMRs on the lockstep simulator",
 		[]string{"lock", "workers", "rate", "attempts", "passages", "aborted", "rmr_median", "rmr_p99", "abort_rmr_median", "abort_rmr_p99"},
 		[]string{
-			"rate: fraction of attempts made under a microsecond-scale deadline (TryLockFor)",
-			"expect: rate 0 is plain Lock/Unlock, the metrics experiment's F=0 workload; abort_rmr_median bounded",
+			"rate: a waiting process's probability of an abort before each instruction",
+			"expect: rate 0 equals the metrics experiment's F=0 row at the same workers; every rate > 0 row aborts",
 		}},
 	"map": {"Keyed lock manager, exact CC RMRs",
 		[]string{"lock", "mode", "workers", "keys", "zipf_s", "passages", "rmr_median", "rmr_p99", "slot_words", "footprint_words", "recycled", "evictions"},
 		[]string{
-			"hot: all workers on one key — median anchored to the metrics experiment's F=0 row (within 2x)",
+			"hot: all workers on one key — median anchored to the metrics experiment's F=0 row at the same workers (within 2x)",
 			"churn: unique key per passage through 1 shard x 8 slots — footprint stays bounded, regions recycle",
 		}},
 	"tracing": {"Flight-recorder overhead, wall clock",
@@ -229,7 +227,7 @@ var tables = map[string]struct {
 		[]string{"lock", "regime", "workers", "rate_per_sec", "throughput_per_sec", "p50_ns", "p90_ns", "p99_ns", "rmr_median", "crashes", "max_level"},
 		[]string{
 			"virtual-time discrete-event simulation: numbers are deterministic, not wall-clock",
-			fmt.Sprintf("anchor rows (n=1, low rate) must cost exactly %d RMRs, the native workers=1 F=0 median", soloRMRs),
+			fmt.Sprintf("anchor rows (n=1, low rate) must cost exactly %d RMRs, the metrics workers=1 F=0 median", soloRMRs),
 			"expect: p50 flat along the low ramp, then a knee into contention collapse",
 		}},
 }
@@ -271,6 +269,11 @@ func (r *Report) Table() *Table {
 		cells := make([]any, len(spec.cols))
 		for i, c := range spec.cols {
 			cells[i] = v.Field(rowFields[c]).Interface()
+		}
+		if i := slices.Index(spec.cols, "rate"); i >= 0 {
+			// Abort rates are fractions of a percent, which Add's one
+			// decimal would round to 0.0.
+			cells[i] = fmt.Sprint(row.Rate)
 		}
 		t.Add(cells...)
 	}
@@ -332,8 +335,8 @@ func drive(workers, passages int, body func(pid, i int)) time.Duration {
 }
 
 // condense is the one metrics.Snapshot → Row reduction behind the
-// metrics, abort and map rows; each report encodes the fields its schema
-// carries.
+// metrics, abort and map rows, simulated or native; each report encodes
+// the fields its schema carries.
 func condense(s metrics.Snapshot) Row {
 	return Row{
 		Attempts:       s.Attempts,

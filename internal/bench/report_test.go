@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -90,24 +92,55 @@ func TestDriveExactPassages(t *testing.T) {
 
 // TestPassageRemainderCounted is the regression test for the dropped
 // remainder: 100 passages over 8 workers used to run 96 while the rows
-// reported 100. Every row must complete exactly 100 passages, and the
-// churn mode must touch exactly its 100 keys.
+// reported 100. Every map row must complete exactly 100 passages, and the
+// churn mode must touch exactly its 100 keys. The simulated reports run
+// passages/workers requests per process, so they refuse the split
+// instead of reporting passages that did not run.
 func TestPassageRemainderCounted(t *testing.T) {
-	o := ReportOpts{Workers: 8, Passages: 100, Failures: []int{0}, ChurnKeys: 100}
-	var rows []Row
-	for _, exp := range []func(ReportOpts) (*Report, error){PassageMetrics, AbortCost, MapCost} {
-		rep, err := exp(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, rep.Results...)
+	o := ReportOpts{Workers: 8, Passages: 100, ChurnKeys: 100}
+	rep, err := MapCost(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
+	for _, r := range rep.Results {
 		if r.Passages != 100 {
 			t.Errorf("%s %s workers=%d: %d passages, want 100", r.Lock, r.Mode, r.Workers, r.Passages)
 		}
 		if r.Mode == "churn" && (r.DistinctKeys != 100 || r.Keys != 100) {
 			t.Errorf("%s churn: %d distinct of %d keys, want 100 of 100", r.Lock, r.DistinctKeys, r.Keys)
+		}
+	}
+	for name, exp := range map[string]func(ReportOpts) (*Report, error){"metrics": PassageMetrics, "abort": AbortCost} {
+		if _, err := exp(o); err == nil || !strings.Contains(err.Error(), "100 passages do not split evenly over 8 workers") {
+			t.Errorf("%s: err = %v, want an uneven-split error", name, err)
+		}
+	}
+}
+
+// TestReportsDeterministic: the simulated reports are functions of the
+// seed, so two runs encode byte for byte alike, with one OS thread or
+// many.
+func TestReportsDeterministic(t *testing.T) {
+	o := ReportOpts{Workers: 4, Passages: 200}
+	for name, exp := range map[string]func(ReportOpts) (*Report, error){"metrics": PassageMetrics, "abort": AbortCost} {
+		var docs [][]byte
+		for _, procs := range []int{0, 0, 1} {
+			prev := runtime.GOMAXPROCS(procs)
+			rep, err := exp(o)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, raw)
+		}
+		for i := 1; i < len(docs); i++ {
+			if !bytes.Equal(docs[0], docs[i]) {
+				t.Errorf("%s: run %d differs from run 0:\n%s\n---\n%s", name, i, docs[0], docs[i])
+			}
 		}
 	}
 }

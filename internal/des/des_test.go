@@ -81,7 +81,7 @@ func TestTraceMonotone(t *testing.T) {
 }
 
 // TestPercentilesMonotone checks p50 ≤ p90 ≤ p99 ≤ max on both latency
-// summaries — the invariant the CI des-gate asserts on BENCH_des.json.
+// summaries — the invariant CI's deterministic-reports job asserts on BENCH_des.json.
 func TestPercentilesMonotone(t *testing.T) {
 	res := mustRun(t, Config{
 		N: 8, Requests: 50, Seed: 3,

@@ -200,9 +200,8 @@ func TestRandomAbortsPerProcessCap(t *testing.T) {
 
 func TestPlanSweepAbortPlacements(t *testing.T) {
 	sp, err := PlanSweep(SweepConfig{
-		Config:        Config{N: 2, Model: memory.CC, Requests: 1, Seed: 7},
-		Aborts:        true,
-		MaxAbortPairs: 8,
+		Config: Config{N: 2, Model: memory.CC, Requests: 1, Seed: 7},
+		Aborts: true,
 	}, newAbortTAS)
 	if err != nil {
 		t.Fatal(err)
@@ -246,11 +245,17 @@ func TestPlanSweepAbortPlacements(t *testing.T) {
 			t.Fatalf("boundary %+v has no single-abort placement", pt)
 		}
 	}
-	if pairs == 0 {
-		t.Fatal("sweep generated no abort×crash pairs")
+	// Three crash offsets after every after-RMW abort point.
+	rmws := 0
+	for _, stream := range sp.Streams {
+		for _, op := range stream {
+			if op.Kind == memory.OpFAS || op.Kind == memory.OpCAS {
+				rmws++
+			}
+		}
 	}
-	if pairs > 8 {
-		t.Fatalf("%d abort×crash pairs exceed MaxAbortPairs=8", pairs)
+	if pairs == 0 || pairs != 3*rmws {
+		t.Fatalf("%d abort×crash pairs, want 3 per after-RMW point (%d)", pairs, 3*rmws)
 	}
 }
 

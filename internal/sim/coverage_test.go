@@ -281,10 +281,9 @@ func TestSweepPairsEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, err := sim.PlanSweep(sim.SweepConfig{
-		Config:   sim.Config{N: 3, Model: memory.CC, Requests: 1, Seed: 1, CSOps: 2, MaxSteps: 2_000_000},
-		Horizon:  1, // boundary placements are not the point here
-		Pairs:    true,
-		MaxPairs: 24,
+		Config:  sim.Config{N: 3, Model: memory.CC, Requests: 1, Seed: 1, CSOps: 2, MaxSteps: 2_000_000},
+		Horizon: 1, // boundary placements are not the point here
+		Pairs:   true,
 	}, spec.New)
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +296,10 @@ func TestSweepPairsEscalation(t *testing.T) {
 		ranPairs++
 		checkPlacement(t, spec, memory.CC, plan, i)
 	}
-	if ranPairs == 0 {
-		t.Fatal("no pair placements generated for ba-log")
+	if ranPairs == 0 || ranPairs != plan.CrashPairs {
+		t.Fatalf("ran %d pair placements of %d", ranPairs, plan.CrashPairs)
 	}
+	t.Logf("%d crash pairs", ranPairs)
 }
 
 // Sweep smoke tests sized for the -race CI job: a horizon-capped WR-Lock

@@ -2,34 +2,24 @@ package sim
 
 import "rme/internal/metrics"
 
-// MetricsSnapshot exports the run's logical-step statistics through the
-// same snapshot type the native backend's metrics layer produces, so
-// simulated and measured numbers are directly comparable.
-//
-// Passage counts, crash counts, the RMR totals and the RMR-per-passage
-// histogram come from the per-passage statistics and are always
-// populated. The label-derived fields — level distribution, fast/slow
-// split, splitter tries, filter acquisitions — require the instruction
-// stream and are only populated when the run was configured with
-// Config.RecordOps; otherwise they are zero and LevelHist is empty.
-//
-// levels sets the level-histogram depth (the lock's BA-Lock level count
-// including the base; use 1 for single-level locks). Values < 1 are
-// treated as 1.
+// hasOps reports whether the history holds the instruction stream
+// (Config.RecordOps).
+func (r *Result) hasOps() bool {
+	for _, ev := range r.Events {
+		if ev.Kind == EvOp {
+			return true
+		}
+	}
+	return false
+}
+
 // DeepestLevels returns, per process, the deepest BA-Lock level the
 // process reached anywhere in the run, reconstructed from slow-path
 // commitment labels (every process that exists starts at level 1). Like
 // the label-derived MetricsSnapshot fields it needs the instruction
 // stream: without Config.RecordOps it returns nil.
 func (r *Result) DeepestLevels() []int {
-	hasOps := false
-	for _, ev := range r.Events {
-		if ev.Kind == EvOp {
-			hasOps = true
-			break
-		}
-	}
-	if !hasOps || r.Config.N == 0 {
+	if !r.hasOps() || r.Config.N == 0 {
 		return nil
 	}
 	deep := make([]int, r.Config.N)
@@ -47,6 +37,21 @@ func (r *Result) DeepestLevels() []int {
 	return deep
 }
 
+// MetricsSnapshot exports the run's logical-step statistics through the
+// same snapshot type the native backend's metrics layer produces, so
+// simulated and measured numbers are directly comparable.
+//
+// Passage counts, crash and recovery counts, the RMR totals and the
+// RMR-per-passage histogram come from the per-passage statistics and the
+// lifecycle events, and are always populated. The label-derived fields —
+// level distribution, fast/slow split, splitter tries, filter
+// acquisitions — require the instruction stream and are only populated
+// when the run was configured with Config.RecordOps; otherwise they are
+// zero and LevelHist is empty.
+//
+// levels sets the level-histogram depth (the lock's BA-Lock level count
+// including the base; use 1 for single-level locks). Values < 1 are
+// treated as 1.
 func (r *Result) MetricsSnapshot(levels int) metrics.Snapshot {
 	if levels < 1 {
 		levels = 1
@@ -78,11 +83,6 @@ func (r *Result) MetricsSnapshot(levels int) metrics.Snapshot {
 			continue
 		}
 		s.Passages++
-		if ps.Attempt > 0 {
-			// A later attempt within the same request: the passage began
-			// with a prior crash to recover from.
-			s.Recoveries++
-		}
 		b := ps.RMRs
 		if b >= metrics.RMRBuckets-1 {
 			b = metrics.RMRBuckets - 1
@@ -90,16 +90,25 @@ func (r *Result) MetricsSnapshot(levels int) metrics.Snapshot {
 		s.RMRHist.Counts[b]++
 	}
 
-	// Reconstruct per-passage levels from the instruction labels, exactly
-	// as the native recorder observes them, when the history has them.
-	hasOps := false
+	// A crash leaves its process a recovery to make, and the process's
+	// next passage start makes it, as the native recorder counts: two
+	// crashes in one request are two recoveries, an abort none.
+	pending := make([]bool, r.Config.N)
 	for _, ev := range r.Events {
-		if ev.Kind == EvOp {
-			hasOps = true
-			break
+		switch ev.Kind {
+		case EvCrash:
+			pending[ev.PID] = true
+		case EvPassageStart:
+			if pending[ev.PID] {
+				pending[ev.PID] = false
+				s.Recoveries++
+			}
 		}
 	}
-	if !hasOps {
+
+	// Reconstruct per-passage levels from the instruction labels, exactly
+	// as the native recorder observes them, when the history has them.
+	if !r.hasOps() {
 		return s
 	}
 

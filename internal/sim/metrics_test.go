@@ -115,3 +115,29 @@ func TestMetricsSnapshotCrashes(t *testing.T) {
 		t.Fatalf("RMRs = %d, want %d", s.RMRs, res.TotalRMRs)
 	}
 }
+
+// TestMetricsSnapshotRecoveries counts recoveries as the native recorder
+// does, one per passage start that follows a crash: two crashes of one
+// process in one request are two recoveries, and an abort is none.
+func TestMetricsSnapshotRecoveries(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		plan                FailurePlan
+		crashes, recoveries uint64
+	}{
+		// p0 crashes before its first CAS, restarts, and crashes again
+		// before the retry's CAS.
+		{"two crashes", &CrashSet{Points: []CrashPoint{{PID: 0, OpIndex: 1}, {PID: 0, OpIndex: 2}}}, 2, 2},
+		{"one abort", &AbortSet{Points: []CrashPoint{{PID: 0, OpIndex: 1}}}, 0, 0},
+	} {
+		res := run(t, Config{N: 1, Model: memory.CC, Requests: 1, Seed: 1, Plan: c.plan}, newAbortTAS)
+		s := res.MetricsSnapshot(1)
+		if s.Passages != 1 || s.Crashes != c.crashes || s.Recoveries != c.recoveries {
+			t.Errorf("%s: passages=%d crashes=%d recoveries=%d, want 1, %d, %d",
+				c.name, s.Passages, s.Crashes, s.Recoveries, c.crashes, c.recoveries)
+		}
+		if c.crashes == 0 && s.Aborted != 1 {
+			t.Errorf("%s: aborted=%d, want 1", c.name, s.Aborted)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"rme/internal/memory"
 )
@@ -18,8 +17,8 @@ import (
 //   - rendezvous immediately after each RMW instruction — the placement
 //     that exercises the sensitive window of Definition 3.3/3.4 (a crash
 //     between the FAS on tail and persisting its result), and
-//   - optionally, pairs of after-RMW placements for the F ≥ 2 escalation
-//     paths of the SA/BA filters.
+//   - optionally, every pair of after-RMW placements, for the F ≥ 2
+//     escalation paths of the SA/BA filters.
 //
 // Each placement is a CrashSet, so re-running it is deterministic, and any
 // violating placement converts directly into an internal/repro artifact.
@@ -38,22 +37,17 @@ type SweepConfig struct {
 	// regardless of Horizon, so sensitive-instruction coverage never
 	// degrades when the horizon is tightened.
 	Horizon int64
-	// Pairs adds two-crash placements (pairs of after-RMW points) for the
-	// F ≥ 2 escalation paths.
+	// Pairs adds a two-crash placement for every pair of after-RMW
+	// points, for the F ≥ 2 escalation paths. Pairs of labeled, sensitive
+	// RMWs (labels ending in ":fas") come first.
 	Pairs bool
-	// MaxPairs caps the number of pair placements (default 64). Pairs of
-	// labeled, sensitive RMWs (labels ending in ":fas") are generated
-	// first; remaining slots go to unlabeled RMW pairs.
-	MaxPairs int
 	// Aborts adds abort placements: a single abort at every (pid,
 	// OpIndex) boundary up to the horizon, at the rendezvous after each
-	// RMW (full stream), plus same-pid abort×crash pairs where the crash
-	// lands a few instructions after the abort — i.e. during the back-out
-	// protocol — exercising crash-during-abort recovery.
+	// RMW (full stream), plus, for every after-RMW point, same-pid
+	// abort×crash pairs where the crash lands a few instructions after
+	// the abort — i.e. during the back-out protocol — exercising
+	// crash-during-abort recovery.
 	Aborts bool
-	// MaxAbortPairs caps the abort×crash pair placements (default 64);
-	// pairs derived from sensitive RMWs are generated first.
-	MaxAbortPairs int
 }
 
 // Placement is one entry of a sweep plan: a deterministic set of crash
@@ -117,10 +111,9 @@ type SweepPlan struct {
 	Streams [][]memory.OpInfo
 	// Placements is the enumerated crash plan.
 	Placements []Placement
-	// PairsTried and PairsTotal count, when SweepConfig.Pairs is set, the
-	// two-crash placements in the plan and the pairs of after-RMW points
-	// that exist; MaxPairs keeps the first PairsTried of them.
-	PairsTried, PairsTotal int
+	// CrashPairs counts the two-crash placements in the plan, one per
+	// pair of after-RMW points when SweepConfig.Pairs is set.
+	CrashPairs int
 
 	afterCover map[CrashPoint]bool
 }
@@ -134,13 +127,6 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 	if sc.Config.Sched != nil {
 		return nil, fmt.Errorf("sim: SweepConfig.Config.Sched must be nil (the sweep requires the stateless seeded scheduler)")
 	}
-	if sc.MaxPairs == 0 {
-		sc.MaxPairs = 64
-	}
-	if sc.MaxAbortPairs == 0 {
-		sc.MaxAbortPairs = 64
-	}
-
 	probe := sc.Config
 	probe.RecordOps = true
 	probe.OnEvent = nil
@@ -194,6 +180,7 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 		pt CrashPoint
 		op memory.OpInfo
 	}
+	// Sensitive points first, each group in (pid, OpIndex) order.
 	var sensitive, otherRMW []afterPt
 	for pid, stream := range streams {
 		for k, op := range stream {
@@ -210,39 +197,23 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 		}
 	}
 
+	pool := append(sensitive, otherRMW...)
+
 	if sc.Pairs {
-		pool := append(append([]afterPt{}, sensitive...), otherRMW...)
-		sort.Slice(pool, func(i, j int) bool {
-			a, b := pool[i], pool[j]
-			as, bs := isSensitiveLabel(a.op.Label), isSensitiveLabel(b.op.Label)
-			if as != bs {
-				return as
-			}
-			if a.pt.PID != b.pt.PID {
-				return a.pt.PID < b.pt.PID
-			}
-			return a.pt.OpIndex < b.pt.OpIndex
-		})
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
 				a, b := pool[i], pool[j]
-				if a.pt == b.pt {
-					continue
+				// A same-pid pair crashes at the earlier point first; the
+				// restarted process re-executes with its instruction
+				// count carried over.
+				if a.pt.PID == b.pt.PID && a.pt.OpIndex > b.pt.OpIndex {
+					a, b = b, a
 				}
-				// Same-pid pairs need the later point strictly after
-				// the earlier one; the restarted process re-executes
-				// with its instruction count carried over.
-				if a.pt.PID == b.pt.PID && a.pt.OpIndex >= b.pt.OpIndex {
-					continue
-				}
-				sp.PairsTotal++
-				if sp.PairsTried < sc.MaxPairs {
-					sp.Placements = append(sp.Placements, Placement{
-						Points: []CrashPoint{a.pt, b.pt},
-						After:  []memory.OpInfo{a.op, b.op},
-					})
-					sp.PairsTried++
-				}
+				sp.Placements = append(sp.Placements, Placement{
+					Points: []CrashPoint{a.pt, b.pt},
+					After:  []memory.OpInfo{a.op, b.op},
+				})
+				sp.CrashPairs++
 			}
 		}
 	}
@@ -289,20 +260,6 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 		// after its abort was delivered, so the crash lands inside the
 		// back-out protocol (or, for larger d, in the retry passage).
 		// Sensitive-RMW aborts are paired first.
-		pool := append(append([]afterPt{}, sensitive...), otherRMW...)
-		sort.Slice(pool, func(i, j int) bool {
-			a, b := pool[i], pool[j]
-			as, bs := isSensitiveLabel(a.op.Label), isSensitiveLabel(b.op.Label)
-			if as != bs {
-				return as
-			}
-			if a.pt.PID != b.pt.PID {
-				return a.pt.PID < b.pt.PID
-			}
-			return a.pt.OpIndex < b.pt.OpIndex
-		})
-		pairs := 0
-	abortPairLoop:
 		for _, a := range pool {
 			for _, d := range []int64{1, 3, 8} {
 				sp.Placements = append(sp.Placements, Placement{
@@ -311,10 +268,6 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 					Points:     []CrashPoint{{PID: a.pt.PID, OpIndex: a.pt.OpIndex + d}},
 					After:      []memory.OpInfo{{}},
 				})
-				pairs++
-				if pairs >= sc.MaxAbortPairs {
-					break abortPairLoop
-				}
 			}
 		}
 	}

@@ -108,9 +108,8 @@ func TestPlanSweepHorizonKeepsRMWAfters(t *testing.T) {
 
 func TestPlanSweepPairs(t *testing.T) {
 	sp, err := PlanSweep(SweepConfig{
-		Config:   Config{N: 3, Model: memory.CC, Requests: 1, Seed: 7},
-		Pairs:    true,
-		MaxPairs: 10,
+		Config: Config{N: 3, Model: memory.CC, Requests: 1, Seed: 7},
+		Pairs:  true,
 	}, newFASLock)
 	if err != nil {
 		t.Fatal(err)
@@ -124,24 +123,17 @@ func TestPlanSweepPairs(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("Pairs produced no two-crash placements")
 	}
-	if len(pairs) > 10 {
-		t.Fatalf("%d pairs exceed MaxPairs", len(pairs))
+	// Every pair of distinct after-RMW points is placed once.
+	m := 0
+	for _, stream := range sp.Streams {
+		for _, op := range stream {
+			if op.Kind == memory.OpFAS || op.Kind == memory.OpCAS {
+				m++
+			}
+		}
 	}
-	// The plan counts the pairs it keeps and every pair that exists: an
-	// uncapped plan keeps them all.
-	if sp.PairsTried != len(pairs) || sp.PairsTotal <= sp.PairsTried {
-		t.Fatalf("pairs tried/total = %d/%d, want %d of more", sp.PairsTried, sp.PairsTotal, len(pairs))
-	}
-	all, err := PlanSweep(SweepConfig{
-		Config:   Config{N: 3, Model: memory.CC, Requests: 1, Seed: 7},
-		Pairs:    true,
-		MaxPairs: sp.PairsTotal + 1,
-	}, newFASLock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.PairsTried != sp.PairsTotal || all.PairsTotal != sp.PairsTotal {
-		t.Fatalf("uncapped pairs tried/total = %d/%d, want %d/%d", all.PairsTried, all.PairsTotal, sp.PairsTotal, sp.PairsTotal)
+	if want := m * (m - 1) / 2; len(pairs) != want || sp.CrashPairs != want {
+		t.Fatalf("%d pair placements, CrashPairs %d, want every one of %d pairs", len(pairs), sp.CrashPairs, m*(m-1)/2)
 	}
 	for _, pl := range pairs {
 		a, b := pl.Points[0], pl.Points[1]
