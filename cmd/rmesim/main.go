@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -152,12 +153,7 @@ func main() {
 	fmt.Printf("passage RMRs      %v\n", res.SummarizePassageRMRs(nil))
 	fmt.Printf("failure-free RMRs %v\n", res.SummarizePassageRMRs(func(p sim.PassageStat) bool { return !p.Crashed }))
 	fmt.Printf("request RMRs      %v\n", res.SummarizeRequestRMRs())
-	levels := 1
-	if spec.Levels != nil {
-		levels = spec.Levels(*n)
-		fmt.Printf("max level reached %d of %d\n", check.MaxDepth(res, spec.SlowLabels(*n)), levels)
-	}
-	fmt.Printf("metrics     %s\n", res.MetricsSnapshot(levels))
+	printLevels(os.Stdout, spec, *n, res)
 
 	battery := map[workload.Strength]string{
 		workload.Strong:         "strong: ME, satisfaction, BCSR",
@@ -169,6 +165,18 @@ func main() {
 	if checkErr != nil {
 		os.Exit(1)
 	}
+}
+
+// printLevels prints the deepest BA-Lock level any passage reached and
+// the run's metrics. The depth counts the SA levels plus the base, so a
+// passage that reaches the base is at level Levels(n)+1.
+func printLevels(w io.Writer, spec workload.Spec, n int, res *sim.Result) {
+	levels := 1
+	if spec.Levels != nil {
+		levels = spec.Levels(n) + 1
+		fmt.Fprintf(w, "max level reached %d of %d\n", check.MaxDepth(res, spec.SlowLabels(n)), levels)
+	}
+	fmt.Fprintf(w, "metrics     %s\n", res.MetricsSnapshot(levels))
 }
 
 // parsePoints parses "pid@opindex,pid@opindex" into crash/abort points.

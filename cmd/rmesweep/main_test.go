@@ -37,7 +37,7 @@ func artifacts(t *testing.T, dir string) []string {
 func TestSweepClean(t *testing.T) {
 	dir := t.TempDir()
 	code, out := runCLI(t, dir, "-locks", "wr", "-n", "2", "-requests", "1", "-model", "cc")
-	if code != 0 || !strings.Contains(out, "rmesweep: 59 placements, 0 violations") {
+	if code != 0 || !strings.Contains(out, "rmesweep: 50 placements, 0 violations") {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 	if files := artifacts(t, dir); len(files) != 0 {
@@ -65,7 +65,8 @@ func TestRandomCampaigns(t *testing.T) {
 // lock and no strong one: the sweep must report it, exit 1 and write one
 // artifact per violation that replays the same violation. At seed 1 no
 // single crash violates, so the sweep also tries every crash pair;
-// exactly three of them violate.
+// exactly eight of them violate, each with one crash right after the
+// FAS: no other failure may break a weak lock's mutual exclusion.
 func TestPlantedViolation(t *testing.T) {
 	planted, err := workload.Lookup("wr")
 	if err != nil {
@@ -81,8 +82,13 @@ func TestPlantedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := status(violations); code != 1 || violations != 3 {
-		t.Fatalf("exit %d with %d violations, want 1 with 3; output:\n%s", code, violations, out.String())
+	if code := status(violations); code != 1 || violations != 8 {
+		t.Fatalf("exit %d with %d violations, want 1 with 8; output:\n%s", code, violations, out.String())
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "FAIL ") && !strings.Contains(line, "(after FAS wr:fas)") {
+			t.Fatalf("a violation without an unsafe failure: %s", line)
+		}
 	}
 	files := artifacts(t, dir)
 	if len(files) != violations {

@@ -14,7 +14,7 @@ import (
 // passage is one fixed instruction sequence, so the median does not
 // depend on the passage count, the seed or the backend, and the DES
 // anchor rows simulate the same recipe.
-const soloRMRs = 19
+const soloRMRs = 15
 
 // A gate is one named assertion over a report, returning one detail per
 // violation. A gate with a ref reads that experiment's report too, and is

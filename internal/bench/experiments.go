@@ -158,30 +158,18 @@ func Figure1(seed int64) string {
 	sb.WriteString("== Figure 1 (reproduced): queue fragmentation after unsafe failures ==\n")
 	sb.WriteString("processes p0..p7 append via FAS; p3 and p6 crash immediately after their FAS\n\n")
 	best := 0
-	// A planned failure counts from its FAS, not from the crash's
-	// delivery: the FAS already splits the queue. A live process between
-	// its FAS and persisting the result looks split too, for one step, so
-	// the queue is drawn only when no such process is mid-append.
-	victims := map[int]bool{3: true, 6: true}
-	appending := map[int]bool{}
+	// The queue is drawn only while no live process is mid-append
+	// (sim.MidAppend): a victim's node is then counted with its crash.
+	appending := sim.MidAppend{Label: "wr:fas"}
 	crashes := 0
 	cfg := sim.Config{
 		N: 8, Model: memory.CC, Requests: 2, Seed: seed, Plan: plan, CSOps: 8, RecordOps: true,
 		OnEvent: func(ev sim.Event, a *memory.Arena) {
-			if ev.Kind == sim.EvOp {
-				delete(appending, ev.PID)
-				if ev.Op.Label != "wr:fas" {
-					return
-				}
-				if victims[ev.PID] {
-					delete(victims, ev.PID)
-					crashes++
-				} else {
-					appending[ev.PID] = true
-				}
-				return
+			appending.Observe(ev)
+			if ev.Kind == sim.EvCrash {
+				crashes++
 			}
-			if ev.Kind != sim.EvCrash && ev.Kind != sim.EvCSEnter || len(appending) > 0 {
+			if ev.Kind != sim.EvCrash && ev.Kind != sim.EvCSEnter || !appending.Settled() {
 				return
 			}
 			qs := lck.SubQueues(a)

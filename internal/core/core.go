@@ -22,11 +22,13 @@ package core
 
 import "rme/internal/memory"
 
-// NodeSource supplies queue nodes to WRLock. The paper pairs the lock with
-// the memory-reclamation algorithm of Section 7.2 (internal/reclaim), whose
-// NewNode is idempotent: repeated calls return the same node until Retire
-// is called, which tolerates crashes between obtaining a node and
-// persisting the reference.
+// NodeSource supplies queue nodes to WRLock. NewNode must be idempotent:
+// repeated calls return the same node until Retire is called, which
+// tolerates crashes between obtaining a node and persisting the
+// reference, and lets WRLock ask the source for its node instead of
+// storing a copy. The paper pairs the lock with the memory-reclamation
+// algorithm of Section 7.2 (internal/reclaim), whose NewNode is
+// idempotent by design.
 type NodeSource interface {
 	// NewNode returns the address of a 2-word queue node (offset 0:
 	// locked flag, offset 1: next pointer) for the calling process.
@@ -35,19 +37,51 @@ type NodeSource interface {
 	Retire(p memory.Port)
 }
 
-// AllocSource is the trivial NodeSource: every call allocates a fresh node
-// and Retire is a no-op. It never reuses memory (space grows with the
-// number of passages) but is safe unconditionally; use internal/reclaim
-// for the paper's bounded-space pools.
-type AllocSource struct{}
+// AllocSource is the trivial NodeSource: it allocates a fresh node for
+// each passage and never reuses memory (space grows with the number of
+// passages), which is safe unconditionally; use internal/reclaim for the
+// paper's bounded-space pools. Like the pools, it keeps each process's
+// current node in a shared word of its own, so NewNode returns the same
+// node until Retire clears that word.
+type AllocSource struct {
+	cur []memory.Addr // cur[i]: the node process i has out, or Nil
+}
 
-// NewNode implements NodeSource.
-func (AllocSource) NewNode(p memory.Port) memory.Addr {
-	return p.Alloc(qnodeWords, p.PID())
+var _ NodePeeker = (*AllocSource)(nil)
+
+// NewAllocSource allocates a fresh-node source for n processes in sp.
+func NewAllocSource(sp memory.Space, n int) *AllocSource {
+	s := &AllocSource{cur: make([]memory.Addr, n)}
+	for i := range s.cur {
+		s.cur[i] = sp.Alloc(1, i)
+	}
+	return s
+}
+
+// NewNode implements NodeSource. A crash between the allocation and the
+// write loses a node nobody has seen.
+func (s *AllocSource) NewNode(p memory.Port) memory.Addr {
+	i := p.PID()
+	if node := memory.AsAddr(p.Read(s.cur[i])); node != memory.Nil {
+		return node
+	}
+	node := p.Alloc(qnodeWords, i)
+	p.Write(s.cur[i], memory.FromAddr(node))
+	return node
 }
 
 // Retire implements NodeSource.
-func (AllocSource) Retire(p memory.Port) {}
+func (s *AllocSource) Retire(p memory.Port) {
+	i := p.PID()
+	if p.Read(s.cur[i]) != memory.FromAddr(memory.Nil) {
+		p.Write(s.cur[i], memory.FromAddr(memory.Nil))
+	}
+}
+
+// PeekNode implements NodePeeker.
+func (s *AllocSource) PeekNode(pk Peeker, i int) memory.Addr {
+	return memory.AsAddr(pk.Peek(s.cur[i]))
+}
 
 const (
 	qnodeWords = 2
@@ -55,17 +89,22 @@ const (
 	offNext    = 1
 )
 
-// Process states with respect to a WRLock (Section 4.3). Free is the zero
-// value so freshly allocated shared memory is a valid initial state.
-// Aborted is this repository's extension (DESIGN §15): it is persisted
-// before the back-out dance mutates the queue, so a crash during an abort
-// resumes the dance from Recover instead of losing track of the node.
+// Process states with respect to a WRLock (Section 4.3), the low
+// stateBits bits of a process's state word; the rest hold its persisted
+// predecessor. Free is the zero value so freshly allocated shared memory
+// is a valid initial state. Aborted is this repository's extension
+// (DESIGN §15): it is persisted before the back-out dance mutates the
+// queue, so a crash during an abort resumes the dance from Recover
+// instead of losing track of the node.
 const (
 	stateFree memory.Word = iota
 	stateTrying
 	stateInCS
 	stateLeaving
 	stateAborted
+
+	stateBits = 3
+	stateMask = 1<<stateBits - 1
 )
 
 // Aborter is implemented by locks that support crash-safe back-out: Abort

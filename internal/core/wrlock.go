@@ -15,18 +15,23 @@ import (
 // (Algorithm 2). It extends the bounded-exit MCS lock of Dvir and
 // Taubenfeld with crash recovery:
 //
-//   - per-process state (state, mine, pred) lives in shared memory and is
-//     advanced only at the end of idempotent blocks, so re-executing a
-//     block after a crash is harmless;
+//   - per-process state lives in shared memory, one word per process,
+//     st[i] = pred << stateBits | state, and is advanced only at the end
+//     of idempotent blocks, so re-executing a block after a crash is
+//     harmless. Algorithm 2's mine[i] is not stored: the node source
+//     names the node, since NewNode returns the same node until Retire.
+//     This rests on one invariant: state ≠ Free ⇒ the process has a node
+//     out. Enter writes (node, Trying) only after NewNode, and Exit and
+//     the abort back-out write Free before they Retire;
 //   - the outcomes of the CAS instructions on next fields are never used
 //     — the fields are re-read instead — making those steps idempotent;
 //     Exit uses its tail CAS's outcome only to skip signalling when
 //     success proves there is no successor, and a repeated Exit's CAS
 //     fails and signals;
 //   - the only sensitive instruction (Definition 3.3) is the FAS on tail:
-//     a crash between the FAS and persisting its result into pred[i]
+//     a crash between the FAS and persisting its result into st[i]
 //     strands the process's node at the head of a new sub-queue. Recover
-//     detects this (pred[i] still equals mine[i]), relinquishes the node
+//     detects this (st[i] is still (node, Trying)), relinquishes the node
 //     via the wait-free exit, and retries with a fresh node.
 //
 // Every passage — Recover, Enter and Exit together — performs O(1) RMRs
@@ -35,10 +40,8 @@ type WRLock struct {
 	n    int
 	name string
 
-	tail  memory.Addr
-	state []memory.Addr
-	mine  []memory.Addr
-	pred  []memory.Addr
+	tail memory.Addr
+	st   []memory.Addr // per process: pred << stateBits | state
 
 	src          NodeSource
 	fasLabel     string
@@ -49,21 +52,16 @@ type WRLock struct {
 // NewWRLock allocates a weakly recoverable lock for n processes in sp.
 // name distinguishes instances in instruction labels (the sensitive FAS is
 // labeled "<name>:fas", which failure plans use to target unsafe
-// failures). src supplies queue nodes; nil selects AllocSource.
+// failures). src supplies queue nodes; nil selects an AllocSource.
 func NewWRLock(sp memory.Space, n int, name string, src NodeSource) *WRLock {
 	if n < 1 {
 		panic(fmt.Sprintf("core: NewWRLock n = %d", n))
-	}
-	if src == nil {
-		src = AllocSource{}
 	}
 	l := &WRLock{
 		n:            n,
 		name:         name,
 		tail:         sp.Alloc(1, memory.HomeNone),
-		state:        make([]memory.Addr, n),
-		mine:         make([]memory.Addr, n),
-		pred:         make([]memory.Addr, n),
+		st:           make([]memory.Addr, n),
 		src:          src,
 		fasLabel:     name + ":fas",
 		handoffLabel: name + ":handoff",
@@ -72,9 +70,10 @@ func NewWRLock(sp memory.Space, n int, name string, src NodeSource) *WRLock {
 	for i := 0; i < n; i++ {
 		// Per-process words live in the process's own memory module so
 		// that reading one's own state is local under DSM.
-		l.state[i] = sp.Alloc(1, i)
-		l.mine[i] = sp.Alloc(1, i)
-		l.pred[i] = sp.Alloc(1, i)
+		l.st[i] = sp.Alloc(1, i)
+	}
+	if src == nil {
+		l.src = NewAllocSource(sp, n)
 	}
 	return l
 }
@@ -88,13 +87,22 @@ func (l *WRLock) FASLabel() string { return l.fasLabel }
 func locked(node memory.Addr) memory.Addr { return node + offLocked }
 func next(node memory.Addr) memory.Addr   { return node + offNext }
 
+// stWord packs a process's persisted predecessor and state into its
+// state word.
+func stWord(pred memory.Addr, state memory.Word) memory.Word {
+	return memory.FromAddr(pred)<<stateBits | state
+}
+
+// stPred unpacks the predecessor of a state word.
+func stPred(w memory.Word) memory.Addr { return memory.AsAddr(w >> stateBits) }
+
 // Recover implements the Recover segment of Algorithm 2. It runs a
 // bounded number of steps (BR property, Theorem 4.6).
 func (l *WRLock) Recover(p memory.Port) {
-	i := p.PID()
-	switch p.Read(l.state[i]) {
+	w := p.Read(l.st[p.PID()])
+	switch w & stateMask {
 	case stateTrying:
-		if p.Read(l.pred[i]) == p.Read(l.mine[i]) {
+		if stPred(w) == l.src.NewNode(p) {
 			// May have failed while performing the FAS: the result
 			// was never persisted, so the predecessor is unknown.
 			// Abort the attempt (relinquish the node).
@@ -114,59 +122,71 @@ func (l *WRLock) Recover(p memory.Port) {
 // Enter implements the Enter segment of Algorithm 2.
 func (l *WRLock) Enter(p memory.Port) {
 	i := p.PID()
-	if p.Read(l.state[i]) == stateFree {
+	w := p.Read(l.st[i])
+	var node memory.Addr
+	switch w & stateMask {
+	case stateFree:
+		// A crash between a previous Exit's Free write and its Retire
+		// leaves that used node out; retiring it here keeps NewNode
+		// from handing it straight back without the epoch delay. Then
 		// NewNode hands out the same node until Retire, so a crash
-		// anywhere in this block re-runs it with the same node. (A
-		// fresh-node source hands out another, but the first was never
-		// published.)
-		node := l.src.NewNode(p)
-		if memory.AsAddr(p.Read(l.mine[i])) != node {
-			p.Write(l.mine[i], memory.FromAddr(node))
-		}
+		// anywhere in this block re-runs it with a node nobody else
+		// has seen.
+		l.src.Retire(p)
+		node = l.src.NewNode(p)
 		p.Write(next(node), memory.FromAddr(memory.Nil))
 		p.Write(locked(node), memory.Bool(true))
-		// Setting pred[i] = mine[i] lets Recover detect a failure
-		// during the FAS step below.
-		p.Write(l.pred[i], memory.FromAddr(node))
-		p.Write(l.state[i], stateTrying)
+		// pred = node lets Recover detect a failure during the FAS
+		// step below.
+		w = stWord(node, stateTrying)
+		p.Write(l.st[i], w)
+	case stateTrying:
+		node = l.src.NewNode(p)
+	default:
+		return // InCS: crashed inside the CS, re-enter at once (BCSR)
 	}
 
-	if p.Read(l.state[i]) == stateTrying {
-		node := memory.AsAddr(p.Read(l.mine[i]))
-		if memory.AsAddr(p.Read(l.pred[i])) == node {
-			// Append my node to the queue. This FAS is the single
-			// sensitive instruction of the algorithm.
-			p.Label(l.fasLabel)
-			temp := p.FAS(l.tail, memory.FromAddr(node)) // rme:sensitive
-			// Persist the result of the FAS.
-			p.Write(l.pred[i], temp)
+	pred := stPred(w)
+	if pred == node {
+		// Append my node to the queue. This FAS is the single
+		// sensitive instruction of the algorithm.
+		p.Label(l.fasLabel)
+		pred = memory.AsAddr(p.FAS(l.tail, memory.FromAddr(node))) // rme:sensitive
+		if pred == memory.Nil {
+			// The queue was empty: the lock is ours, and there is
+			// nothing to link or wait for. One write persists the
+			// FAS's result and the state.
+			p.Write(l.st[i], stWord(memory.Nil, stateInCS))
+			return
 		}
-
-		pred := memory.AsAddr(p.Read(l.pred[i]))
-		if pred != memory.Nil {
-			// Create the link to the predecessor. The outcome of the
-			// CAS is deliberately ignored; the field is re-read so
-			// the step is idempotent across failures.
-			p.CAS(next(pred), memory.FromAddr(memory.Nil), memory.FromAddr(node)) // rme:nonsensitive(outcome ignored and field re-read; idempotent across crashes)
-			if memory.AsAddr(p.Read(next(pred))) == node {
-				// Wait for the predecessor to complete.
-				for memory.AsBool(p.Read(locked(node))) {
-					p.Pause()
-				}
-			}
-			// Otherwise next(pred) holds the predecessor's own
-			// address: the lock was released wait-free and is ours.
-		}
-		p.Write(l.state[i], stateInCS)
+		// Persist the result of the FAS.
+		p.Write(l.st[i], stWord(pred, stateTrying))
 	}
+
+	// Create the link to the predecessor (Trying is persisted only with
+	// pred ≠ Nil). The outcome of the CAS is deliberately ignored; the
+	// field is re-read so the step is idempotent across failures.
+	p.CAS(next(pred), memory.FromAddr(memory.Nil), memory.FromAddr(node)) // rme:nonsensitive(outcome ignored and field re-read; idempotent across crashes)
+	if memory.AsAddr(p.Read(next(pred))) == node {
+		// Wait for the predecessor to complete.
+		for memory.AsBool(p.Read(locked(node))) {
+			p.Pause()
+		}
+	}
+	// Otherwise next(pred) holds the predecessor's own address: the lock
+	// was released wait-free and is ours.
+	p.Write(l.st[i], stWord(pred, stateInCS))
 }
 
 // Exit implements the Exit segment of Algorithm 2. It runs a bounded
 // number of steps (BE property, Theorem 4.6).
 func (l *WRLock) Exit(p memory.Port) {
 	i := p.PID()
-	p.Write(l.state[i], stateLeaving)
-	node := memory.AsAddr(p.Read(l.mine[i]))
+	// Leaving keeps pred: SubQueues links a leaving holder to its
+	// successor through it.
+	pred := stPred(p.Read(l.st[i]))
+	p.Write(l.st[i], stWord(pred, stateLeaving))
+	node := l.src.NewNode(p) // out while state ≠ Free: returns it
 
 	// Remove my node from the queue if it has no successor. Success
 	// means tail still holds the node only this process's FAS put there
@@ -187,8 +207,11 @@ func (l *WRLock) Exit(p memory.Port) {
 		}
 	}
 
+	// Free before Retire: once the node is retired its ring may hand it
+	// out again, so no re-run of this Exit may touch it. A crash after
+	// the Free write leaves the node out, and the next Enter retires it.
+	p.Write(l.st[i], stWord(memory.Nil, stateFree))
 	l.src.Retire(p)
-	p.Write(l.state[i], stateFree)
 }
 
 // Abort implements Aborter: it backs the process out of the queue after
@@ -212,25 +235,28 @@ func (l *WRLock) Exit(p memory.Port) {
 // as it does after crash-induced queue fragmentation.
 func (l *WRLock) Abort(p memory.Port) {
 	i := p.PID()
-	switch p.Read(l.state[i]) {
+	w := p.Read(l.st[i])
+	switch w & stateMask {
 	case stateFree:
-		// Nothing is queued: the node (if any) was never shared, and the
-		// next Enter reuses and reinitializes it idempotently.
+		// Nothing is queued: a node out (if any) was never shared, and
+		// the next Enter retires it. The back-out makes no NodeSource
+		// call here, since an abort delivered inside NewNode's epoch
+		// wait lands in this case.
 		return
 	case stateTrying:
-		node := memory.AsAddr(p.Read(l.mine[i]))
-		pred := memory.AsAddr(p.Read(l.pred[i]))
-		if pred == node || pred == memory.Nil || !memory.AsBool(p.Read(locked(node))) {
-			// FAS undecided (relinquish like Recover), queue was empty
-			// (the lock is ours), or the handoff already arrived: a
-			// plain Exit backs out without touching anyone else's state.
+		node := l.src.NewNode(p)
+		pred := stPred(w)
+		if pred == node || !memory.AsBool(p.Read(locked(node))) {
+			// FAS undecided (relinquish like Recover), or the handoff
+			// already arrived: a plain Exit backs out without touching
+			// anyone else's state.
 			l.Exit(p)
 			return
 		}
 		// Queued behind a live predecessor: abandon mid-queue. Persist
 		// the abort before mutating the queue so a crash inside the
 		// dance resumes it from Recover.
-		p.Write(l.state[i], stateAborted)
+		p.Write(l.st[i], stWord(pred, stateAborted))
 		l.finishAbandon(p)
 	case stateInCS, stateLeaving:
 		l.Exit(p)
@@ -239,7 +265,7 @@ func (l *WRLock) Abort(p memory.Port) {
 	}
 }
 
-// finishAbandon runs the abandon dance from persisted state (state[i] ==
+// finishAbandon runs the abandon dance from persisted state (state ==
 // stateAborted): the Exit segment's own idempotent instruction sequence,
 // ending in an ordinary retire. The abandoned predecessor may still owe
 // the node a handoff write (locked ← false), but that stale reference is
@@ -253,13 +279,7 @@ func (l *WRLock) Abort(p memory.Port) {
 // eventually wait on it forever.
 func (l *WRLock) finishAbandon(p memory.Port) {
 	i := p.PID()
-	node := memory.AsAddr(p.Read(l.mine[i]))
-	if node == memory.Nil {
-		// A previous run of the dance already retired the node and was
-		// interrupted between clearing mine and the final state write.
-		p.Write(l.state[i], stateFree)
-		return
-	}
+	node := l.src.NewNode(p) // out while state ≠ Free: returns it
 	// Detach from the tail if we are last (idempotent, outcome ignored).
 	p.CAS(l.tail, memory.FromAddr(node), memory.FromAddr(memory.Nil)) // rme:nonsensitive(outcome ignored; repeating the detach after a crash is a no-op)
 	// Plant the wait-free marker so a successor that has not linked yet
@@ -271,12 +291,11 @@ func (l *WRLock) finishAbandon(p memory.Port) {
 		p.Label(l.abandonLabel)
 		p.Write(locked(nxt), memory.Bool(false))
 	}
-	// Retire is idempotent (a crash anywhere in the dance re-runs it as a
-	// no-op), and the epoch delay above makes the predecessor's pending
-	// handoff write against the retired node harmless.
+	// Free before Retire, as in Exit: a re-run after the Free write
+	// never touches the node, and the epoch delay makes the
+	// predecessor's pending handoff write against it harmless.
+	p.Write(l.st[i], stWord(memory.Nil, stateFree))
 	l.src.Retire(p)
-	p.Write(l.mine[i], memory.FromAddr(memory.Nil))
-	p.Write(l.state[i], stateFree)
 }
 
 // SubQueue describes one fragment of the request queue, reconstructed from
@@ -294,46 +313,62 @@ type Peeker interface {
 	Peek(a memory.Addr) memory.Word
 }
 
+// NodePeeker is a NodeSource whose current node per process can be read
+// from a debug snapshot: the node process i has out, or Nil. SubQueues
+// needs one, since the lock stores no copy of its node. AllocSource and
+// the §7.2 pools (internal/reclaim) implement it.
+type NodePeeker interface {
+	PeekNode(pk Peeker, i int) memory.Addr
+}
+
 // SubQueues reconstructs the current sub-queue structure from shared
 // memory, exactly as the paper's Proposition 4.1 argues is possible: each
-// in-flight process contributes its node (mine) and its persisted
-// predecessor (pred), and explicit next links plus implicit pred links are
-// stitched into chains. Fragmentation (more than one sub-queue) appears
-// only after unsafe failures.
+// in-flight process contributes its node (read from the node source,
+// which must be a NodePeeker) and its persisted predecessor, and explicit
+// next links plus implicit pred links are stitched into chains.
+// Fragmentation (more than one sub-queue) appears only after unsafe
+// failures.
 func (l *WRLock) SubQueues(pk Peeker) []SubQueue {
+	np, ok := l.src.(NodePeeker)
+	if !ok {
+		panic(fmt.Sprintf("core: SubQueues needs a NodePeeker source, have %T", l.src))
+	}
 	type info struct {
 		owner int
+		pred  memory.Addr // persisted predecessor node
 		prev  memory.Addr // predecessor node (explicit or implicit), Nil if head
 	}
 	tail := memory.AsAddr(pk.Peek(l.tail))
 	nodes := make(map[memory.Addr]*info, l.n)
+	mine := make([]memory.Addr, l.n)
 	for j := 0; j < l.n; j++ {
-		st := pk.Peek(l.state[j])
-		if st != stateTrying && st != stateInCS && st != stateLeaving {
+		w := pk.Peek(l.st[j])
+		if st := w & stateMask; st != stateTrying && st != stateInCS && st != stateLeaving {
 			continue
 		}
-		node := memory.AsAddr(pk.Peek(l.mine[j]))
+		node := np.PeekNode(pk, j)
 		if node == memory.Nil {
 			continue
 		}
 		// A node is part of the queue only once its FAS has executed:
-		// either the owner persisted its predecessor (pred != mine) or
+		// either the owner persisted its predecessor (pred != node) or
 		// the tail still points at the node (FAS done, result lost).
-		if memory.AsAddr(pk.Peek(l.pred[j])) == node && tail != node {
+		pred := stPred(w)
+		if pred == node && tail != node {
 			continue
 		}
-		nodes[node] = &info{owner: j, prev: memory.Nil}
+		mine[j] = node
+		nodes[node] = &info{owner: j, pred: pred}
 	}
 	// Resolve predecessor links: explicit (pred's next == node) or
-	// implicit (the persisted pred[j] of a process that has performed
-	// its FAS).
+	// implicit (the persisted pred of a process that has performed its
+	// FAS).
 	for node, inf := range nodes {
-		pr := memory.AsAddr(pk.Peek(l.pred[inf.owner]))
-		if pr == memory.Nil || pr == node || memory.AsAddr(pk.Peek(l.mine[inf.owner])) != node {
+		if inf.pred == node {
 			continue
 		}
-		if _, live := nodes[pr]; live {
-			inf.prev = pr
+		if _, live := nodes[inf.pred]; live {
+			inf.prev = inf.pred
 		}
 	}
 	// Build successor map from both explicit next fields and resolved
@@ -356,10 +391,8 @@ func (l *WRLock) SubQueues(pk Peeker) []SubQueue {
 		}
 	}
 	var out []SubQueue
-	for j := 0; j < l.n; j++ { // deterministic order: heads by owner pid
-		node := memory.AsAddr(pk.Peek(l.mine[j]))
-		inf, ok := nodes[node]
-		if !ok || inf.owner != j || hasPred[node] {
+	for _, node := range mine { // deterministic order: heads by owner pid
+		if node == memory.Nil || hasPred[node] {
 			continue
 		}
 		q := SubQueue{}

@@ -166,13 +166,17 @@ func TestWRLockUnsafeFailureFragmentsQueue(t *testing.T) {
 	}
 	maxFrag := 0
 	crashes := 0
+	appending := sim.MidAppend{Label: "wr:fas"}
 	cfg := sim.Config{
-		N: 8, Model: memory.CC, Requests: 2, Seed: 21, Plan: plan, CSOps: 6,
+		N: 8, Model: memory.CC, Requests: 2, Seed: 21, Plan: plan, CSOps: 6, RecordOps: true,
 		OnEvent: func(ev sim.Event, a *memory.Arena) {
+			appending.Observe(ev)
 			if ev.Kind == sim.EvCrash {
 				crashes++
 			}
-			if ev.Kind == sim.EvCSEnter || ev.Kind == sim.EvCrash {
+			// A live process between its FAS and persisting the result
+			// looks like a sub-queue of its own for that step.
+			if (ev.Kind == sim.EvCSEnter || ev.Kind == sim.EvCrash) && appending.Settled() {
 				qs := lck.SubQueues(a)
 				if len(qs) > maxFrag {
 					maxFrag = len(qs)
@@ -288,4 +292,83 @@ func TestWRLockConstructorValidation(t *testing.T) {
 		}
 	}()
 	NewWRLock(a, 0, "x", nil)
+}
+
+// countingSource counts a process's NodeSource calls; its NewNode can be
+// made to unwind after handing out a node, as an abort delivered inside
+// the epoch wait of a §7.2 pool does.
+type countingSource struct {
+	*AllocSource
+	calls  int
+	unwind bool
+}
+
+type unwound struct{}
+
+func (s *countingSource) NewNode(p memory.Port) memory.Addr {
+	s.calls++
+	node := s.AllocSource.NewNode(p)
+	if s.unwind {
+		panic(unwound{})
+	}
+	return node
+}
+
+func (s *countingSource) Retire(p memory.Port) {
+	s.calls++
+	s.AllocSource.Retire(p)
+}
+
+// TestWRLockAbortFromFreeCallsNoSource: an abort that finds the process
+// Free backs out without a NodeSource call — on a fresh lock, after a
+// completed passage, and after an abort delivered inside NewNode, which
+// leaves the process Free with a node out. A tracing source keeps one
+// open span per process, and an abort can land inside NewNode's epoch
+// wait, so a source call in that back-out would overwrite the open span.
+// The next Enter retires the node left out and takes a fresh one.
+func TestWRLockAbortFromFreeCallsNoSource(t *testing.T) {
+	a := memory.NewArena(memory.CC, 1)
+	src := &countingSource{AllocSource: NewAllocSource(a, 1)}
+	l := NewWRLock(a, 1, "wr", src)
+	p := a.Port(0, nil)
+	abortFree := func(when string) {
+		t.Helper()
+		src.calls = 0
+		l.Abort(p)
+		if src.calls != 0 {
+			t.Fatalf("%s: Abort from Free made %d NodeSource calls, want 0", when, src.calls)
+		}
+	}
+	abortFree("fresh lock")
+	l.Recover(p)
+	l.Enter(p)
+	l.Exit(p)
+	abortFree("after a passage")
+
+	src.unwind = true
+	func() {
+		defer func() {
+			if _, ok := recover().(unwound); !ok {
+				t.Fatal("NewNode did not unwind")
+			}
+		}()
+		l.Recover(p)
+		l.Enter(p)
+	}()
+	src.unwind = false
+	left := src.PeekNode(a, 0)
+	if left == memory.Nil {
+		t.Fatal("the unwound NewNode left no node out")
+	}
+	abortFree("after an abort inside NewNode")
+
+	l.Recover(p)
+	l.Enter(p)
+	if node := src.PeekNode(a, 0); node == left {
+		t.Fatalf("Enter reused node %d left out by the unwound NewNode", node)
+	}
+	l.Exit(p)
+	if node := src.PeekNode(a, 0); node != memory.Nil {
+		t.Fatalf("node %d still out after Exit", node)
+	}
 }

@@ -169,9 +169,9 @@ func (c *Campaign) Run() (int, int) {
 			continue
 		}
 		order = append(order, spec.Name)
-		levels := 1
+		levels := 1 // the level-histogram depth: SA levels plus the base
 		if spec.Levels != nil {
-			levels = spec.Levels(c.N)
+			levels = spec.Levels(c.N) + 1
 		}
 		for _, model := range []memory.Model{memory.CC, memory.DSM} {
 			for seed := c.SeedBase; seed < c.SeedBase+int64(c.Seeds); seed++ {

@@ -519,14 +519,14 @@ func TestMapRecycleMatchesFreshLock(t *testing.T) {
 			}
 		}
 		s, _ := ma.MetricsSnapshot()
-		want := map[int]uint64{26: 7, 28: 43}
+		want := map[int]uint64{20: 7, 22: 43}
 		for c, got := range s.RMRHist.Counts {
 			if got != want[c] {
 				t.Errorf("base %d: %d passages cost %d RMRs, want %d", base, got, c, want[c])
 			}
 		}
-		if s.RMRs != 1386 {
-			t.Errorf("base %d: RMRs = %d, want 1386", base, s.RMRs)
+		if s.RMRs != 1086 {
+			t.Errorf("base %d: RMRs = %d, want 1086", base, s.RMRs)
 		}
 		if st := ma.Stats(); st.Instantiated != 50 || st.Segments != 1 {
 			t.Errorf("base %d: instantiated=%d segments=%d, want 50/1", base, st.Instantiated, st.Segments)
@@ -537,8 +537,8 @@ func TestMapRecycleMatchesFreshLock(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Passage(0, func() {})
-		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[26] != 1 {
-			t.Errorf("base %d: a fresh Mutex's first passage is not 26 RMRs: %v", base, ms.RMRs)
+		if ms, _ := m.MetricsSnapshot(); ms.RMRHist.Counts[20] != 1 {
+			t.Errorf("base %d: a fresh Mutex's first passage is not 20 RMRs: %v", base, ms.RMRs)
 		}
 	}
 }

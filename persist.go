@@ -25,13 +25,14 @@ import (
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image.
 
-// snapMagic identifies the snapshot format. RMESNAP5 is the padded arena
+// snapMagic identifies the snapshot format. RMESNAP6 is the padded arena
 // layout with each arbitrator's three shared words (turn and one word
 // per side) on one cache line, one ring of 2n queue nodes per process
-// and level, and no WR-Lock Initializing state. Streams of an older
-// layout are refused rather than silently misinterpreted, since word
-// addresses or state values changed with the layout: see oldSnapLayouts.
-const snapMagic = "RMESNAP5"
+// and level, and one WR-Lock state word per process and level (its
+// persisted predecessor and state). Streams of an older layout are
+// refused rather than silently misinterpreted, since word addresses or
+// state values changed with the layout: see oldSnapLayouts.
+const snapMagic = "RMESNAP6"
 
 // oldSnapLayouts names the layout each refused magic recorded.
 var oldSnapLayouts = map[string]string{
@@ -39,6 +40,7 @@ var oldSnapLayouts = map[string]string{
 	"RMESNAP2": "the padded layout with a cache line per arbitrator word",
 	"RMESNAP3": "the double-pool layout with two halves of 2n queue nodes per process and level",
 	"RMESNAP4": "the seven-word arbitrator and the WR-Lock's Initializing state",
+	"RMESNAP5": "the three-word WR-Lock process state (state, mine and pred)",
 }
 
 // snapTable is the CRC-64 polynomial for the integrity footer appended to

@@ -123,12 +123,12 @@ func TestSnapshotRoundTripPreservesOptions(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatStable pins the RMESNAP5 header — magic, then n,
+// TestSnapshotFormatStable pins the RMESNAP6 header — magic, then n,
 // base, levels, word 4 and the body length — and checks that a stream
 // whose word 4 is non-zero still restores: the word is reserved. The
-// same stream under the RMESNAP3 or RMESNAP4 magic is refused, its
-// length and checksum notwithstanding: the magic alone names the layout
-// (an RMESNAP4 stream has this very footprint).
+// same stream under the RMESNAP3, RMESNAP4 or RMESNAP5 magic is refused,
+// its length and checksum notwithstanding: the magic alone names the
+// layout.
 func TestSnapshotFormatStable(t *testing.T) {
 	m, err := New(3)
 	if err != nil {
@@ -139,8 +139,8 @@ func TestSnapshotFormatStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	if got := string(snap[:8]); got != "RMESNAP5" {
-		t.Fatalf("magic %q, want RMESNAP5", got)
+	if got := string(snap[:8]); got != "RMESNAP6" {
+		t.Fatalf("magic %q, want RMESNAP6", got)
 	}
 	want := []uint64{3, uint64(BaseTournament), uint64(core.DefaultLevels(3)), 0, uint64(m.Footprint())}
 	for i, w := range want {
@@ -166,7 +166,7 @@ func TestSnapshotFormatStable(t *testing.T) {
 		t.Fatal("passage failed after restore")
 	}
 
-	for magic, layout := range map[string]string{"RMESNAP3": "double-pool", "RMESNAP4": "Initializing"} {
+	for magic, layout := range map[string]string{"RMESNAP3": "double-pool", "RMESNAP4": "Initializing", "RMESNAP5": "three-word WR-Lock process state"} {
 		old := append([]byte(magic), snap[8:end]...)
 		old = binary.LittleEndian.AppendUint64(old, crc64.Checksum(old, snapTable))
 		if _, err := Restore(bytes.NewReader(old), nil); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), layout) {
@@ -283,7 +283,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"empty":     "",
 		"bad magic": "NOTASNAPxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
 		// The dense-layout v1 format is a different physical layout;
-		// restoring it as v5 would scatter words, so it must be refused.
+		// restoring it as v6 would scatter words, so it must be refused.
 		"RMESNAP1": "RMESNAP1" + strings.Repeat("\x01\x00\x00\x00\x00\x00\x00\x00", 5),
 		// The n = 8 lock of the v2 layout, which gave each arbitrator
 		// word a line of its own: 2728 words with a valid checksum.
@@ -293,7 +293,10 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"RMESNAP3": string(snapStream("RMESNAP3", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 2248}, 2248)),
 		// The n = 8 lock of the v4 layout: the same 1352 words, but a
 		// seven-word arbitrator and a WR-Lock Initializing state.
-		"RMESNAP4":  string(snapStream("RMESNAP4", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 1352}, 1352)),
+		"RMESNAP4": string(snapStream("RMESNAP4", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 1352}, 1352)),
+		// The n = 8 lock of the v5 layout: 1352 words, with three
+		// WR-Lock words (state, mine, pred) per process and level.
+		"RMESNAP5":  string(snapStream("RMESNAP5", [5]uint64{8, tour, uint64(core.DefaultLevels(8)), 0, 1352}, 1352)),
 		"truncated": snapMagic + "\x01\x00\x00\x00\x00\x00\x00\x00",
 		"n=0":       string(snapStream(snapMagic, [5]uint64{0, 1, 1, 0, 10}, 10)),
 	}

@@ -287,13 +287,13 @@ func TestLayoutFootprints(t *testing.T) {
 		footprint, slot int
 	}{
 		{BaseTournament, 1, 48, 40},
-		{BaseTournament, 2, 88, 80},
-		{BaseTournament, 8, 1352, 1344},
-		{BaseTournament, 64, 130192, 130184},
+		{BaseTournament, 2, 72, 64},
+		{BaseTournament, 8, 1288, 1280},
+		{BaseTournament, 64, 129168, 129160},
 		{BaseArbTree, 1, 48, 40},
 		{BaseArbTree, 2, 152, 144},
-		{BaseArbTree, 8, 1296, 1288},
-		{BaseArbTree, 64, 67304, 67296},
+		{BaseArbTree, 8, 1232, 1224},
+		{BaseArbTree, 64, 66792, 66784},
 	} {
 		m, err := New(c.n, WithBase(c.base))
 		if err != nil {
