@@ -109,12 +109,13 @@ func TestFitSqrt(t *testing.T) {
 }
 
 // TestFigure1Output: the figure draws the queue and its summary agrees
-// with the largest sub-queue count drawn, at seed 21 (one chain) and at
-// seeds that draw fragmentation.
+// with the largest sub-queue count drawn, at seed 21 and seeds 1–8 (all
+// draw fragmentation) and at seed 13 (one chain), so both wordings are
+// checked.
 func TestFigure1Output(t *testing.T) {
 	drawn := regexp.MustCompile(`: (\d+) sub-queue\(s\)`)
-	fragmented := 0
-	for _, seed := range []int64{21, 1, 2, 3, 4, 5, 6, 7, 8} {
+	fragmented, chains := 0, 0
+	for _, seed := range []int64{21, 1, 2, 3, 4, 5, 6, 7, 8, 13} {
 		out := Figure1(seed)
 		for _, want := range []string{"Figure 1", "sub-queue", "head →", "starvation freedom"} {
 			if !strings.Contains(out, want) {
@@ -131,6 +132,8 @@ func TestFigure1Output(t *testing.T) {
 		if most >= 2 {
 			want = "despite fragmentation"
 			fragmented++
+		} else {
+			chains++
 		}
 		if !strings.Contains(out, want) || strings.Contains(out, "despite fragmentation") != (most >= 2) {
 			t.Errorf("seed %d: drew at most %d sub-queue(s), summary should say %q:\n%s", seed, most, want, out)
@@ -138,6 +141,9 @@ func TestFigure1Output(t *testing.T) {
 	}
 	if fragmented == 0 {
 		t.Error("no seed drew fragmentation; the despite-fragmentation summary went untested")
+	}
+	if chains == 0 {
+		t.Error("every seed drew fragmentation; the one-chain summary went untested")
 	}
 }
 
