@@ -12,8 +12,10 @@
 // exactly that crash set. With -aborts it also sweeps abort placements: an
 // abort delivery at every boundary, an abort after each RMW, and, after
 // each RMW, abort×crash pairs that crash the process while it is running
-// the back-out protocol itself. The sweep is the mechanical proof-obligation runner for each
-// recoverable layer: it visits every single-crash placement exhaustively.
+// the back-out protocol itself; with -pairs too, crash×abort pairs crash
+// the process right after each RMW and abort its restarted passage. The
+// sweep is the mechanical proof-obligation runner for each recoverable
+// layer: it visits every single-crash placement exhaustively.
 //
 // With -random N it samples adversaries from seeds [0, N) instead: the
 // lockstep campaign of internal/regime runs every lock under both memory
@@ -80,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csops    = fs.Int("csops", 2, "critical-section length in instructions of a placement run")
 		horizon  = fs.Int64("horizon", 0, "per-process instruction horizon for boundary placements (0 = full stream)")
 		pairs    = fs.Bool("pairs", false, "add a two-crash placement for every pair of after-RMW points (the F≥2 escalation paths)")
-		aborts   = fs.Bool("aborts", false, "add abort placements (every boundary, after each RMW, abort×crash pairs)")
+		aborts   = fs.Bool("aborts", false, "add abort placements (every boundary, after each RMW, abort×crash pairs; with -pairs, crash×abort pairs)")
 		verbose  = fs.Bool("v", false, "print per-placement progress")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rme/internal/core"
 	"rme/internal/memory"
 	"rme/internal/sim"
 	"rme/internal/workload"
@@ -171,7 +170,6 @@ func Components() *Table {
 		Notes: []string{
 			"wr: full Recover+Enter+CS+Exit passages under contention",
 			"arbitrator: dual-port recoverable 2-party lock under contention",
-			"splitter: one CAS plus one read (try) and one write (release)",
 		},
 	}
 	for _, model := range []memory.Model{memory.CC, memory.DSM} {
@@ -200,16 +198,6 @@ func Components() *Table {
 		}
 		s := res.SummarizePassageRMRs(nil)
 		t.Add("arbitrator", model.String(), 2, s.Max, s.Mean)
-	}
-	for _, model := range []memory.Model{memory.CC, memory.DSM} {
-		a := memory.NewArena(model, 2)
-		sp := core.NewSplitter(a)
-		p := a.Port(0, nil)
-		before := a.RMRs(0)
-		sp.Try(p)
-		_ = sp.Mine(p)
-		sp.Release(p)
-		t.Add("splitter", model.String(), 2, a.RMRs(0)-before, float64(a.RMRs(0)-before))
 	}
 	return t
 }

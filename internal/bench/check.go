@@ -14,7 +14,7 @@ import (
 // passage is one fixed instruction sequence, so the median does not
 // depend on the passage count, the seed or the backend, and the DES
 // anchor rows simulate the same recipe.
-const soloRMRs = 15
+const soloRMRs = 11
 
 // A gate is one named assertion over a report, returning one detail per
 // violation. A gate with a ref reads that experiment's report too, and is
@@ -89,8 +89,8 @@ var gates = map[string][]gate{
 		every("aborts-confined", "aborted_passages == 0 outside the abort regime", false,
 			func(r Row) bool { return r.Regime != "abort" },
 			func(r Row) bool { return r.AbortedPassages == 0 }),
-		// Aborted attempts abandon splitter slots, so the abort regime may
-		// legitimately escalate.
+		// An aborted attempt can leave the filter with two winners, so
+		// the abort regime may legitimately escalate.
 		every("ff-level", "max_level == 1", false,
 			func(r Row) bool { return r.Failures == 0 && r.Regime != "abort" },
 			func(r Row) bool { return r.MaxLevel == 1 }),

@@ -6,10 +6,11 @@
 //     every failure scenario; a crash immediately after its single
 //     sensitive instruction (the FAS on the queue tail) may fragment the
 //     queue and violate mutual exclusion temporarily and responsively.
-//   - Splitter — the biased O(1) try-lock used to route processes onto the
-//     fast or slow path (Section 5.1).
 //   - SALock — the semi-adaptive framework (Algorithm 3): filter lock →
-//     splitter → {fast path | core lock} → dual-port arbitrator.
+//     splitter → {fast path | core lock} → dual-port arbitrator. The
+//     splitter, the biased O(1) try-lock that routes processes onto the
+//     fast or slow path (Section 5.1), is a CAS on the arbitrator's Left
+//     side (yalock.Arbitrator.Claim).
 //   - BALock — the recursive well-bounded super-adaptive lock
 //     (Section 5.2): m = T(n) stacked SALock levels over a non-adaptive
 //     strongly recoverable base lock, giving O(min{√F, T(n)}) RMRs per
@@ -31,7 +32,8 @@ import "rme/internal/memory"
 // idempotent by design.
 type NodeSource interface {
 	// NewNode returns the address of a 2-word queue node (offset 0:
-	// locked flag, offset 1: next pointer) for the calling process.
+	// granted flag, 0 while the owner waits; offset 1: next pointer)
+	// for the calling process. Zeroed memory is a reset node.
 	NewNode(p memory.Port) memory.Addr
 	// Retire declares the calling process done with its current node.
 	Retire(p memory.Port)
@@ -85,7 +87,7 @@ func (s *AllocSource) PeekNode(pk Peeker, i int) memory.Addr {
 
 const (
 	qnodeWords = 2
-	offLocked  = 0
+	offGranted = 0
 	offNext    = 1
 )
 

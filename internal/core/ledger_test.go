@@ -118,25 +118,35 @@ func (s ledgerNodes) Retire(p memory.Port) {
 }
 
 // TestLonePassageLedger splits a lone failure-free passage of the
-// shipped recipe (the tournament base, a node ring per level) into its
-// layers and pins every part exactly, at n = 1, 2, 8 and 16, for every
-// passage after the first lap of n allocations (which reads each peer's
-// sequence word once). The parts sum to the simulator's passage count.
+// shipped recipe (the tournament base, a node ring of 2n slots per
+// level) into its layers and pins every part exactly, at n = 1, 2, 8 and
+// 16, for every passage after the first lap of n allocations (which
+// reads each peer's sequence word once). The parts sum to the
+// simulator's passage count.
 //
-// Under CC a passage costs 15 RMRs: filter 5 (the node's next and
-// locked, (node, Trying), the FAS and (Nil, InCS)), new_node 1, splitter
-// 1, arbitrator 2 (Peterson's fast path: Trying and InCS, no turn
-// write), exit 5 and retire 1, every one a write or an RMW. The pool
-// calls that only name the node (NewNode in Exit, Retire in Enter) cost
-// nothing. Under DSM a passage costs 12, plus 1 in new_node when passage
-// k's epoch step reads a peer's sequence word (k mod n ≠ 0, the peer
-// being k mod n).
+// Under CC a passage on a reused slot (k ≥ 2n) costs 11 RMRs: filter 3
+// ((node, Trying), the FAS and (Nil, InCS)), new_node 1, splitter 1
+// (the claim's CAS on the arbitrator's Left side, which is also its
+// intent), arbitrator 1 (Peterson's fast path: InCS, no turn write),
+// exit 4 ((0, Idle), (pred, Leaving), the tail CAS and Free) and
+// retire 1, every one a write or an RMW. The node's reset reads hit the
+// cache, since the slot's previous use left next = Nil and granted = 0.
+// A slot's first use (n ≤ k < 2n) costs 13: those two reads miss, which
+// is what the two reset writes cost before the reads. The pool calls
+// that only name the node (NewNode in Exit, Retire in Enter) cost
+// nothing. Under DSM every node word is local and a passage costs 9,
+// plus 1 in new_node when passage k's epoch step reads a peer's
+// sequence word (k mod n ≠ 0, the peer being k mod n).
 func TestLonePassageLedger(t *testing.T) {
 	want := func(model memory.Model, n, k int) split {
 		if model == memory.CC {
-			return split{layerFilter: 5, layerNewNode: 1, layerSplitter: 1, layerArb: 2, layerExit: 5, layerRetire: 1}
+			s := split{layerFilter: 3, layerNewNode: 1, layerSplitter: 1, layerArb: 1, layerExit: 4, layerRetire: 1}
+			if k < 2*n {
+				s[layerFilter] += 2 // a slot's first use: the reset reads miss
+			}
+			return s
 		}
-		s := split{layerFilter: 1, layerSplitter: 2, layerArb: 4, layerExit: 5}
+		s := split{layerFilter: 1, layerSplitter: 1, layerArb: 3, layerExit: 4}
 		if k%n != 0 {
 			s[layerNewNode] = 1
 		}

@@ -5,8 +5,9 @@ package core
 // PhaseHook as a process's passage navigates the lock.
 type PhaseKind int
 
-// Pipeline phases, in acquisition order. PhaseFast and PhaseCore are
-// mutually exclusive outcomes of the splitter.
+// Pipeline phases, in acquisition order. PhaseSplitter covers the
+// fast-path claim on the arbitrator's Left side and the path commitment;
+// PhaseFast and PhaseCore are its mutually exclusive outcomes.
 const (
 	PhaseFilter PhaseKind = iota + 1
 	PhaseSplitter

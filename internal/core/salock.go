@@ -28,7 +28,10 @@ const (
 // Figure 2). A process first acquires the weakly recoverable filter lock,
 // then navigates the splitter: the fast path leads directly to the Left
 // port of the arbitrator; losers commit to the slow path, acquire the
-// core lock, and enter the arbitrator from the Right.
+// core lock, and enter the arbitrator from the Right. The splitter is the
+// arbitrator's Left side itself: Claim's CAS admits at most one process
+// to the fast path and is that side's intent write, and the arbitrator's
+// Exit frees it (DESIGN §5 item 12).
 //
 // With a strongly recoverable core lock of worst-case RMR complexity
 // T(n), SALock is strongly recoverable with O(1) RMRs per failure-free
@@ -37,11 +40,13 @@ type SALock struct {
 	n      int
 	name   string
 	filter *WRLock
-	split  *Splitter
 	core   RecoverableLock
 	arb    *yalock.Arbitrator
 	typ    []memory.Addr
 
+	// tryLabel ("<name>:try") tags the fast-path claim so metrics
+	// harnesses count splitter attempts per BA-Lock level.
+	tryLabel  string
 	slowLabel string
 
 	// level is the 1-based BA-Lock level this instance sits at (1 for a
@@ -62,10 +67,10 @@ func NewSALock(sp memory.Space, n int, name string, core RecoverableLock, src No
 		n:         n,
 		name:      name,
 		filter:    NewWRLock(sp, n, name, src),
-		split:     NewNamedSplitter(sp, name),
 		core:      core,
 		arb:       yalock.New(sp, n),
 		typ:       make([]memory.Addr, n),
+		tryLabel:  name + ":try",
 		slowLabel: name + ":slow",
 		level:     1,
 	}
@@ -83,9 +88,6 @@ func (l *SALock) Filter() *WRLock { return l.filter }
 
 // Core exposes the core lock.
 func (l *SALock) Core() RecoverableLock { return l.core }
-
-// Splitter exposes the splitter.
-func (l *SALock) Splitter() *Splitter { return l.split }
 
 // SlowLabel returns the label carried by the instruction that commits a
 // process to the slow path; harnesses count it to measure escalation.
@@ -121,10 +123,12 @@ func (l *SALock) Enter(p memory.Port) {
 	l.filter.Enter(p)
 
 	l.enterPhase(i, PhaseSplitter)
+	fast := false
 	if p.Read(l.typ[i]) != pathSlow { // not yet committed to the slow path
-		l.split.Try(p) // attempt to take the fast path
+		p.Label(l.tryLabel)
+		fast = l.arb.Claim(p, yalock.Left) // attempt to take the fast path
 	}
-	if !l.split.Mine(p) { // unable to take the fast path
+	if !fast { // unable to take the fast path
 		p.Label(l.slowLabel)
 		p.Write(l.typ[i], pathSlow) // committed to the slow path
 		l.enterPhase(i, PhaseCore)
@@ -145,11 +149,11 @@ func (l *SALock) Exit(p memory.Port) {
 
 	l.arb.Exit(p, l.side(p))
 
+	// On the fast path the arbitrator's Exit has freed the Left side,
+	// and with it the fast path.
 	if p.Read(l.typ[i]) == pathSlow {
 		l.core.Exit(p)
 		p.Write(l.typ[i], pathFast) // reset the path type to its default
-	} else {
-		l.split.Release(p) // the fast path is now empty
 	}
 
 	l.filter.Exit(p)
@@ -160,9 +164,9 @@ func (l *SALock) Exit(p memory.Port) {
 // unwound at an instruction boundary (DESIGN §15). Components never
 // reached release as no-ops: the arbitrator's Exit writes nothing unless
 // this process occupies the side (it still signals the rival, which
-// repairs a wake-up lost to a crash in the previous Exit), the splitter
-// is released only when Mine, and the filter's Abort handles every state
-// including "never entered".
+// repairs a wake-up lost to a crash in the previous Exit), so it frees
+// the fast path only when this process's claim won it, and the filter's
+// Abort handles every state including "never entered".
 // Every step is crash-idempotent, so a crash mid-abort is repaired by the
 // next passage's normal Recover+Enter (which then re-acquires).
 func (l *SALock) Abort(p memory.Port) {
@@ -184,10 +188,6 @@ func (l *SALock) Abort(p memory.Port) {
 			l.core.Exit(p)
 		}
 		p.Write(l.typ[i], pathFast)
-	} else if l.split.Mine(p) {
-		// Unlike Exit, the fast path is released only when actually
-		// held: an abort can fire before the splitter was won.
-		l.split.Release(p)
 	}
 
 	l.filter.Abort(p)

@@ -84,8 +84,8 @@ func (l *WRLock) Name() string { return l.name }
 // FASLabel returns the label carried by the sensitive FAS instruction.
 func (l *WRLock) FASLabel() string { return l.fasLabel }
 
-func locked(node memory.Addr) memory.Addr { return node + offLocked }
-func next(node memory.Addr) memory.Addr   { return node + offNext }
+func granted(node memory.Addr) memory.Addr { return node + offGranted }
+func next(node memory.Addr) memory.Addr    { return node + offNext }
 
 // stWord packs a process's persisted predecessor and state into its
 // state word.
@@ -134,8 +134,18 @@ func (l *WRLock) Enter(p memory.Port) {
 		// has seen.
 		l.src.Retire(p)
 		node = l.src.NewNode(p)
-		p.Write(next(node), memory.FromAddr(memory.Nil))
-		p.Write(locked(node), memory.Bool(true))
+		// Reset the node: next = Nil and granted = 0 (wait). A word
+		// is written only where its previous use left it otherwise,
+		// since zeroed memory and a lone passage's node are already
+		// reset. Reading first is as safe as writing: the epoch wait
+		// keeps every stale writer off a node handed out again, and
+		// no new one can reach it before the FAS below publishes it.
+		if p.Read(next(node)) != memory.FromAddr(memory.Nil) {
+			p.Write(next(node), memory.FromAddr(memory.Nil))
+		}
+		if memory.AsBool(p.Read(granted(node))) {
+			p.Write(granted(node), memory.Bool(false))
+		}
 		// pred = node lets Recover detect a failure during the FAS
 		// step below.
 		w = stWord(node, stateTrying)
@@ -169,7 +179,7 @@ func (l *WRLock) Enter(p memory.Port) {
 	p.CAS(next(pred), memory.FromAddr(memory.Nil), memory.FromAddr(node)) // rme:nonsensitive(outcome ignored and field re-read; idempotent across crashes)
 	if memory.AsAddr(p.Read(next(pred))) == node {
 		// Wait for the predecessor to complete.
-		for memory.AsBool(p.Read(locked(node))) {
+		for !memory.AsBool(p.Read(granted(node))) {
 			p.Pause()
 		}
 	}
@@ -203,7 +213,7 @@ func (l *WRLock) Exit(p memory.Port) {
 			// The link was already created; tell the successor to
 			// stop spinning.
 			p.Label(l.handoffLabel)
-			p.Write(locked(nxt), memory.Bool(false))
+			p.Write(granted(nxt), memory.Bool(true))
 		}
 	}
 
@@ -246,7 +256,7 @@ func (l *WRLock) Abort(p memory.Port) {
 	case stateTrying:
 		node := l.src.NewNode(p)
 		pred := stPred(w)
-		if pred == node || !memory.AsBool(p.Read(locked(node))) {
+		if pred == node || memory.AsBool(p.Read(granted(node))) {
 			// FAS undecided (relinquish like Recover), or the handoff
 			// already arrived: a plain Exit backs out without touching
 			// anyone else's state.
@@ -268,7 +278,7 @@ func (l *WRLock) Abort(p memory.Port) {
 // finishAbandon runs the abandon dance from persisted state (state ==
 // stateAborted): the Exit segment's own idempotent instruction sequence,
 // ending in an ordinary retire. The abandoned predecessor may still owe
-// the node a handoff write (locked ← false), but that stale reference is
+// the node a handoff write (granted ← 1), but that stale reference is
 // precisely the situation the paper's reclamation algorithm (Section 7.2,
 // Algorithm 4) is built for: a slot is reused only after epoch steps that
 // ran after the retire have recorded every request then in flight and
@@ -289,7 +299,7 @@ func (l *WRLock) finishAbandon(p memory.Port) {
 		// A successor is linked: forward the filter token so the queue
 		// behind us keeps moving without waiting for our predecessor.
 		p.Label(l.abandonLabel)
-		p.Write(locked(nxt), memory.Bool(false))
+		p.Write(granted(nxt), memory.Bool(true))
 	}
 	// Free before Retire, as in Exit: a re-run after the Free write
 	// never touches the node, and the epoch delay makes the

@@ -250,25 +250,40 @@ func TestWRLockBoundedRecoveryAndExit(t *testing.T) {
 	}
 }
 
+// TestWRLockUncontendedSession: a single process acquires and releases
+// repeatedly through direct port calls; node allocation keeps the queue
+// consistent. Every node is fresh (AllocSource, as wr-fresh), so the
+// reset reads of next and granted miss and cost what writing them would:
+// after the first passage (which reads tail once), a passage costs 10 CC
+// RMRs — the two reset reads, NewNode's write, (node, Trying), the FAS,
+// (Nil, InCS), Leaving, the tail CAS, Free and Retire's write — and 2
+// under DSM (the FAS and the tail CAS), as before the reset read first.
 func TestWRLockUncontendedSession(t *testing.T) {
-	// A single process acquires and releases repeatedly through direct
-	// port calls; node allocation keeps the queue consistent.
-	a := memory.NewArena(memory.CC, 1)
-	l := NewWRLock(a, 1, "wr", nil)
-	p := a.Port(0, nil)
-	for i := 0; i < 5; i++ {
-		l.Recover(p)
-		l.Enter(p)
-		qs := l.SubQueues(a)
-		if len(qs) != 1 || len(qs[0].Owners) != 1 || qs[0].Owners[0] != 0 {
-			t.Fatalf("iteration %d: sub-queues = %+v", i, qs)
-		}
-		if !qs[0].AtTail {
-			t.Fatalf("iteration %d: holder's queue not at tail", i)
-		}
-		l.Exit(p)
-		if qs := l.SubQueues(a); len(qs) != 0 {
-			t.Fatalf("iteration %d: %d sub-queues after exit", i, len(qs))
+	for _, c := range []struct {
+		model memory.Model
+		rmrs  int64
+	}{{memory.CC, 10}, {memory.DSM, 2}} {
+		a := memory.NewArena(c.model, 1)
+		l := NewWRLock(a, 1, "wr", nil)
+		p := a.Port(0, nil)
+		for i := 0; i < 5; i++ {
+			before := a.RMRs(0)
+			l.Recover(p)
+			l.Enter(p)
+			qs := l.SubQueues(a)
+			if len(qs) != 1 || len(qs[0].Owners) != 1 || qs[0].Owners[0] != 0 {
+				t.Fatalf("%v iteration %d: sub-queues = %+v", c.model, i, qs)
+			}
+			if !qs[0].AtTail {
+				t.Fatalf("%v iteration %d: holder's queue not at tail", c.model, i)
+			}
+			l.Exit(p)
+			if qs := l.SubQueues(a); len(qs) != 0 {
+				t.Fatalf("%v iteration %d: %d sub-queues after exit", c.model, i, len(qs))
+			}
+			if got := a.RMRs(0) - before; i > 0 && got != c.rmrs {
+				t.Fatalf("%v iteration %d: a fresh-node passage cost %d RMRs, want %d", c.model, i, got, c.rmrs)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package reclaim
 
 import (
+	"slices"
 	"testing"
 
 	"rme/internal/core"
@@ -159,10 +160,66 @@ func wrWithPool(sp memory.Space, n int) sim.Lock {
 	return core.NewWRLock(sp, n, "wr", NewPool(sp, n))
 }
 
+// handOuts wraps a node source and tells handed of every node it hands
+// out; WRLock also calls NewNode to name the node it already holds.
+type handOuts struct {
+	core.NodeSource
+	held   []memory.Addr
+	handed func(pid int, node memory.Addr)
+}
+
+func (s *handOuts) NewNode(p memory.Port) memory.Addr {
+	node := s.NodeSource.NewNode(p)
+	if node != s.held[p.PID()] {
+		s.held[p.PID()] = node
+		s.handed(p.PID(), node)
+	}
+	return node
+}
+
+func (s *handOuts) Retire(p memory.Port) {
+	s.NodeSource.Retire(p)
+	s.held[p.PID()] = memory.Nil
+}
+
+// TestWRLockWithPoolBoundedSpace: with reclamation the arena must not
+// grow during the run, since all nodes come from the pre-allocated
+// pools. A node the ring hands out again still holds what its previous
+// use left: granted = 1 if its owner was handed the lock, next = the
+// successor that linked behind it. Enter must reset both (next = Nil,
+// granted = 0) before it writes (node, Trying), since a crash after that
+// write makes Recover relinquish the node through Exit, which reads
+// next.
 func TestWRLockWithPoolBoundedSpace(t *testing.T) {
-	// With reclamation the arena must not grow during the run: all nodes
-	// come from the pre-allocated pools.
-	r, err := sim.New(sim.Config{N: 4, Model: memory.CC, Requests: 30, Seed: 3}, wrWithPool)
+	const n = 4
+	var (
+		arena *memory.Arena
+		out   = make([]memory.Addr, n) // each process's node from its hand-out to its (node, Trying) write
+		dirty int                      // hand-outs of a node that was handed the lock and linked to
+	)
+	handed := func(pid int, node memory.Addr) {
+		if arena.Peek(node) != 0 && !slices.Contains([]memory.Addr{memory.Nil, node}, memory.AsAddr(arena.Peek(node+1))) {
+			dirty++
+		}
+		out[pid] = node
+	}
+	// The first write after a hand-out to a word other than the node's
+	// own is the owner's (node, Trying); the event comes before it runs.
+	onEvent := func(ev sim.Event, a *memory.Arena) {
+		node := out[ev.PID]
+		if ev.Kind != sim.EvOp || ev.Op.Kind != memory.OpWrite || node == memory.Nil || ev.Op.Addr == node || ev.Op.Addr == node+1 {
+			return
+		}
+		if a.Peek(node) != 0 || memory.AsAddr(a.Peek(node+1)) != memory.Nil {
+			t.Errorf("p%d writes (node, Trying) with node %d not reset: granted %d, next %d", ev.PID, node, a.Peek(node), a.Peek(node+1))
+		}
+		out[ev.PID] = memory.Nil
+	}
+	r, err := sim.New(sim.Config{N: n, Model: memory.CC, Requests: 30, Seed: 3, RecordOps: true, OnEvent: onEvent},
+		func(sp memory.Space, n int) sim.Lock {
+			arena = sp.(*memory.Arena)
+			return core.NewWRLock(sp, n, "wr", &handOuts{NodeSource: NewPool(sp, n), held: make([]memory.Addr, n), handed: handed})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +236,9 @@ func TestWRLockWithPoolBoundedSpace(t *testing.T) {
 	}
 	if got := len(res.Requests); got != 120 {
 		t.Fatalf("%d requests, want 120", got)
+	}
+	if dirty == 0 {
+		t.Fatal("no node was handed out again after a handoff and a link; the reset went untested")
 	}
 }
 

@@ -199,63 +199,87 @@ func TestRandomAbortsPerProcessCap(t *testing.T) {
 }
 
 func TestPlanSweepAbortPlacements(t *testing.T) {
-	sp, err := PlanSweep(SweepConfig{
-		Config: Config{N: 2, Model: memory.CC, Requests: 1, Seed: 7},
-		Aborts: true,
-	}, newAbortTAS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, withPairs := range []bool{false, true} {
+		sp, err := PlanSweep(SweepConfig{
+			Config: Config{N: 2, Model: memory.CC, Requests: 1, Seed: 7},
+			Pairs:  withPairs,
+			Aborts: true,
+		}, newAbortTAS)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Every (pid, op-index) boundary of the recorded streams gets a
-	// single-abort placement (horizon 0 = full stream).
-	want := map[CrashPoint]bool{}
-	for pid, stream := range sp.Streams {
-		for k := range stream {
-			want[CrashPoint{PID: pid, OpIndex: int64(k)}] = true
-		}
-	}
-	single := map[CrashPoint]bool{}
-	var pairs int
-	for _, pl := range sp.Placements {
-		if !pl.HasAborts() {
-			continue
-		}
-		if len(pl.Points) > 0 {
-			pairs++
-			// Abort×crash pairs are same-pid with the crash landing
-			// strictly after the abort — inside the back-out window.
-			if pl.Points[0].PID != pl.Aborts[0].PID {
-				t.Fatalf("abort×crash pair crosses pids: %s", pl)
-			}
-			if pl.Points[0].OpIndex <= pl.Aborts[0].OpIndex {
-				t.Fatalf("pair crash does not land after the abort: %s", pl)
-			}
-			continue
-		}
-		if len(pl.Aborts) == 1 {
-			single[pl.Aborts[0]] = true
-		}
-		if !strings.Contains(pl.String(), "abort") {
-			t.Fatalf("abort placement renders without 'abort': %q", pl.String())
-		}
-	}
-	for pt := range want {
-		if !single[pt] {
-			t.Fatalf("boundary %+v has no single-abort placement", pt)
-		}
-	}
-	// Three crash offsets after every after-RMW abort point.
-	rmws := 0
-	for _, stream := range sp.Streams {
-		for _, op := range stream {
-			if op.Kind == memory.OpFAS || op.Kind == memory.OpCAS {
-				rmws++
+		// Every (pid, op-index) boundary of the recorded streams gets a
+		// single-abort placement (horizon 0 = full stream).
+		want := map[CrashPoint]bool{}
+		for pid, stream := range sp.Streams {
+			for k := range stream {
+				want[CrashPoint{PID: pid, OpIndex: int64(k)}] = true
 			}
 		}
-	}
-	if pairs == 0 || pairs != 3*rmws {
-		t.Fatalf("%d abort×crash pairs, want 3 per after-RMW point (%d)", pairs, 3*rmws)
+		single := map[CrashPoint]bool{}
+		var pairs, crashFirst int
+		for _, pl := range sp.Placements {
+			if !pl.HasAborts() {
+				continue
+			}
+			if len(pl.Points) > 0 {
+				if pl.Points[0].PID != pl.Aborts[0].PID {
+					t.Fatalf("mixed pair crosses pids: %s", pl)
+				}
+				if pl.After[0].Kind != 0 {
+					// Crash×abort pairs crash right after an RMW, and
+					// the abort lands strictly later, in the restarted
+					// passage.
+					crashFirst++
+					if pl.AbortAfter[0].Kind != 0 {
+						t.Fatalf("crash×abort pair's abort follows an RMW: %s", pl)
+					}
+					if pl.Aborts[0].OpIndex <= pl.Points[0].OpIndex {
+						t.Fatalf("pair abort does not land after the crash: %s", pl)
+					}
+					continue
+				}
+				// Abort×crash pairs abort right after an RMW, with the
+				// crash landing strictly after the abort — inside the
+				// back-out window.
+				pairs++
+				if pl.AbortAfter[0].Kind == 0 {
+					t.Fatalf("abort×crash pair's abort follows no RMW: %s", pl)
+				}
+				if pl.Points[0].OpIndex <= pl.Aborts[0].OpIndex {
+					t.Fatalf("pair crash does not land after the abort: %s", pl)
+				}
+				continue
+			}
+			if len(pl.Aborts) == 1 {
+				single[pl.Aborts[0]] = true
+			}
+			if !strings.Contains(pl.String(), "abort") {
+				t.Fatalf("abort placement renders without 'abort': %q", pl.String())
+			}
+		}
+		for pt := range want {
+			if !single[pt] {
+				t.Fatalf("boundary %+v has no single-abort placement", pt)
+			}
+		}
+		// Three second-fault offsets after every after-RMW point, for
+		// each kind of pair; crash×abort pairs need Pairs.
+		rmws := 0
+		for _, stream := range sp.Streams {
+			for _, op := range stream {
+				if op.Kind == memory.OpFAS || op.Kind == memory.OpCAS {
+					rmws++
+				}
+			}
+		}
+		if pairs == 0 || pairs != 3*rmws {
+			t.Fatalf("pairs=%v: %d abort×crash pairs, want 3 per after-RMW point (%d)", withPairs, pairs, 3*rmws)
+		}
+		if wantFirst := map[bool]int{false: 0, true: 3 * rmws}[withPairs]; crashFirst != wantFirst {
+			t.Fatalf("pairs=%v: %d crash×abort pairs, want %d", withPairs, crashFirst, wantFirst)
+		}
 	}
 }
 

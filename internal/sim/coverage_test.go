@@ -324,9 +324,10 @@ func TestSweepSmokeSA(t *testing.T) { sweepSmoke(t, "sa") }
 
 // TestSweepSmokeTournament places a crash and an abort at every boundary
 // of a tournament of arbitrators (n = 3, two requests each). The
-// arbitrator has no RMW, so the horizon-capped smoke above never reaches
-// its Exit; this sweep crosses every boundary of it, including the one
-// between Exit's write and its signal.
+// arbitrator's one RMW is the SA-Lock's fast-path claim, which lands in
+// its Enter, so the horizon-capped smoke above never reaches its Exit;
+// this sweep crosses every boundary of it, including the one between
+// Exit's write and its signal.
 func TestSweepSmokeTournament(t *testing.T) {
 	spec, err := workload.Lookup("tournament")
 	if err != nil {

@@ -18,7 +18,8 @@ import (
 //     that exercises the sensitive window of Definition 3.3/3.4 (a crash
 //     between the FAS on tail and persisting its result), and
 //   - optionally, every pair of after-RMW placements, for the F ≥ 2
-//     escalation paths of the SA/BA filters.
+//     escalation paths of the SA/BA filters, and with aborts too, a
+//     crash after each RMW followed by an abort of the restarted passage.
 //
 // Each placement is a CrashSet, so re-running it is deterministic, and any
 // violating placement converts directly into an internal/repro artifact.
@@ -46,7 +47,10 @@ type SweepConfig struct {
 	// RMW (full stream), plus, for every after-RMW point, same-pid
 	// abort×crash pairs where the crash lands a few instructions after
 	// the abort — i.e. during the back-out protocol — exercising
-	// crash-during-abort recovery.
+	// crash-during-abort recovery. With Pairs as well, every after-RMW
+	// point also gets the mirror image, same-pid crash×abort pairs: the
+	// crash, then an abort a few instructions into the restarted
+	// passage, which backs out from what the crash left.
 	Aborts bool
 }
 
@@ -261,7 +265,7 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 		// back-out protocol (or, for larger d, in the retry passage).
 		// Sensitive-RMW aborts are paired first.
 		for _, a := range pool {
-			for _, d := range []int64{1, 3, 8} {
+			for _, d := range pairGaps {
 				sp.Placements = append(sp.Placements, Placement{
 					Aborts:     []CrashPoint{a.pt},
 					AbortAfter: []memory.OpInfo{a.op},
@@ -270,9 +274,31 @@ func PlanSweep(sc SweepConfig, factory Factory) (*SweepPlan, error) {
 				})
 			}
 		}
+
+		// Crash×abort pairs, the mirror image: the process crashes
+		// right after an RMW, and the passage it restarts is aborted d
+		// instructions in, so the back-out starts from whatever the
+		// crash left half done (a fast-path claim won but not yet
+		// entered, a FAS whose result was never persisted).
+		if sc.Pairs {
+			for _, a := range pool {
+				for _, d := range pairGaps {
+					sp.Placements = append(sp.Placements, Placement{
+						Points:     []CrashPoint{a.pt},
+						After:      []memory.OpInfo{a.op},
+						Aborts:     []CrashPoint{{PID: a.pt.PID, OpIndex: a.pt.OpIndex + d}},
+						AbortAfter: []memory.OpInfo{{}},
+					})
+				}
+			}
+		}
 	}
 	return sp, nil
 }
+
+// pairGaps are the distances, in instructions of the same process, from
+// the first fault of a mixed abort and crash pair to the second.
+var pairGaps = []int64{1, 3, 8}
 
 // isSensitiveLabel reports whether an instruction label marks a weakly
 // recoverable filter's sensitive FAS (the "<instance>:fas" convention used

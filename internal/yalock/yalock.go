@@ -1,4 +1,5 @@
-// rme:sensitive-instructions 0 — read/write only; no FAS or CAS in this file.
+// rme:sensitive-instructions 0 — the one RMW, Claim's CAS, is idempotent:
+// a re-run after a crash decides by reading the side's occupant.
 //
 // Package yalock implements the dual-port strongly recoverable 2-party
 // lock used as the arbitrator in the paper's framework (Section 5.1).
@@ -17,7 +18,9 @@
 // and Right; at most one process attempts to acquire each side at any
 // time, though which process occupies a side may change between
 // acquisitions. A process that crashes mid-passage re-attempts the same
-// side, starting from Enter, until its passage completes.
+// side, starting from Enter, until its passage completes. Claim lets the
+// framework keep that contract on a side without a separate try-lock:
+// the CAS that wins the side is also the side's intent write.
 package yalock
 
 import (
@@ -98,6 +101,21 @@ func New(sp memory.Space, n int) *Arbitrator {
 	return a
 }
 
+// Claim attempts to occupy side s, for a caller that may race other
+// processes to it: it CASes the side from Idle to (me, Trying), which is
+// Enter's intent write, so of any number of claimants at most one wins
+// and the side's port contract holds. The CAS outcome is not trusted
+// across a crash: when the CAS fails, the side's occupant decides, so a
+// re-run by the process that already holds the side (Trying or InCS)
+// finds itself and keeps it.
+func (a *Arbitrator) Claim(p memory.Port, s Side) bool {
+	me := memory.Word(p.PID() + 1)
+	if p.CAS(a.side[s], sideWord(0, ssIdle), sideWord(me, ssTrying)) { // rme:nonsensitive(a re-run's CAS fails and the occupant read decides, so the lost outcome is recovered)
+		return true
+	}
+	return p.Read(a.side[s])>>stateBits == me
+}
+
 // Enter acquires side s. At most one process may be attempting each side.
 // Enter needs no Recover before it: a side leaves InCS in one write, so
 // no state is left half-finished for recovery to complete.
@@ -106,7 +124,8 @@ func (a *Arbitrator) Enter(p memory.Port, s Side) {
 	me := memory.Word(i + 1)
 	o := s.other()
 
-	if w := p.Read(a.side[s]); w&stateMask == ssInCS {
+	w := p.Read(a.side[s])
+	if w&stateMask == ssInCS {
 		if owner := w >> stateBits; owner != me {
 			panic(fmt.Sprintf("yalock: side %v in CS is owned by %d, not %d (port contract violated)",
 				s, owner-1, i))
@@ -116,10 +135,13 @@ func (a *Arbitrator) Enter(p memory.Port, s Side) {
 
 	// Doorway. Every step is idempotent: re-executing the doorway after
 	// a crash is equivalent to a fresh competitor arriving, which the
-	// Peterson-style argument already tolerates. The first write sets
-	// the intent before anything of the rival is read, as Peterson's
-	// order requires.
-	p.Write(a.side[s], sideWord(me, ssTrying))
+	// Peterson-style argument already tolerates. The intent is in memory
+	// before anything of the rival is read, as Peterson's order
+	// requires: a side that already holds (me, Trying), written by Claim
+	// or by a crashed doorway, is not written again.
+	if w != sideWord(me, ssTrying) {
+		p.Write(a.side[s], sideWord(me, ssTrying))
+	}
 
 	// Peterson's fast path: an Idle rival is not interested, so the
 	// lock is ours without a turn write. Both sides write their intent

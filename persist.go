@@ -25,14 +25,16 @@ import (
 // double scan of the arena and returns ErrSnapshotConcurrent instead of
 // serializing a torn image.
 
-// snapMagic identifies the snapshot format. RMESNAP6 is the padded arena
+// snapMagic identifies the snapshot format. RMESNAP7 is the padded arena
 // layout with each arbitrator's three shared words (turn and one word
-// per side) on one cache line, one ring of 2n queue nodes per process
-// and level, and one WR-Lock state word per process and level (its
+// per side) on one cache line, the fast path claimed on the Left side's
+// word with no splitter word of its own, one ring of 2n queue nodes per
+// process and level whose first word is the granted flag (0 while the
+// owner waits), and one WR-Lock state word per process and level (its
 // persisted predecessor and state). Streams of an older layout are
 // refused rather than silently misinterpreted, since word addresses or
 // state values changed with the layout: see oldSnapLayouts.
-const snapMagic = "RMESNAP6"
+const snapMagic = "RMESNAP7"
 
 // oldSnapLayouts names the layout each refused magic recorded.
 var oldSnapLayouts = map[string]string{
@@ -41,6 +43,7 @@ var oldSnapLayouts = map[string]string{
 	"RMESNAP3": "the double-pool layout with two halves of 2n queue nodes per process and level",
 	"RMESNAP4": "the seven-word arbitrator and the WR-Lock's Initializing state",
 	"RMESNAP5": "the three-word WR-Lock process state (state, mine and pred)",
+	"RMESNAP6": "a splitter word of its own per level and queue nodes whose first word is the locked flag (1 while the owner waits)",
 }
 
 // snapTable is the CRC-64 polynomial for the integrity footer appended to

@@ -286,14 +286,14 @@ func TestLayoutFootprints(t *testing.T) {
 		n               int
 		footprint, slot int
 	}{
-		{BaseTournament, 1, 48, 40},
-		{BaseTournament, 2, 72, 64},
-		{BaseTournament, 8, 1288, 1280},
-		{BaseTournament, 64, 129168, 129160},
-		{BaseArbTree, 1, 48, 40},
-		{BaseArbTree, 2, 152, 144},
-		{BaseArbTree, 8, 1232, 1224},
-		{BaseArbTree, 64, 66792, 66784},
+		{BaseTournament, 1, 40, 32},
+		{BaseTournament, 2, 64, 56},
+		{BaseTournament, 8, 1264, 1256},
+		{BaseTournament, 64, 129120, 129112},
+		{BaseArbTree, 1, 40, 32},
+		{BaseArbTree, 2, 144, 136},
+		{BaseArbTree, 8, 1216, 1208},
+		{BaseArbTree, 64, 66768, 66760},
 	} {
 		m, err := New(c.n, WithBase(c.base))
 		if err != nil {
